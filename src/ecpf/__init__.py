@@ -18,7 +18,7 @@ from .curve import (
     point_add,
     point_double,
 )
-from .field import FieldElement, Modulus, P192, reduce_p192
+from .field import FieldElement, Modulus, P192
 from .keygen import KeyPair, generate_keypair, random_scalar, validate_public_key
 from .mpint import DEFAULT_CAPACITY, LIMB_BITS, MpInt, capacity_for_bits
 from .scalar_mul import OpCounter, double_and_add, ladder
@@ -48,7 +48,6 @@ __all__ = [
     "point_add",
     "point_double",
     "random_scalar",
-    "reduce_p192",
     "validate_public_key",
     "__version__",
 ]

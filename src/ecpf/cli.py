@@ -10,10 +10,9 @@ import argparse
 import sys
 from importlib import resources
 
-from .curve import AffinePoint, CurveParams, format_point, negate, on_curve
-from .curve import parse_point, point_add, point_double
+from .curve import AffinePoint, CurveParams, format_point, negate, parse_point
+from .curve import _require_on_curve, point_add, point_double
 from .errors import (
-    DomainError,
     Error,
     FormatError,
     ParseError,
@@ -40,6 +39,11 @@ def parse_curve_file(text: str) -> CurveParams:
     Required keys, each exactly once: name, p, a, b, gx, gy, n, h.  Numeric
     values are unprefixed hex; lines starting with '#' and blank lines are
     ignored; keys are case-sensitive and order-free.
+
+    This is the one place where curve-domain validity is decided, for
+    bundled curves and curve files alike: beyond the structural checks of
+    ``CurveParams``, p and n must be probable primes and n*G must be O.
+    Together these make d*G finite for every d in [1, n-1].
     """
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -80,7 +84,7 @@ def parse_curve_file(text: str) -> CurveParams:
             raise ValidationError(f"{key} is not a canonical residue")
         return FieldElement(value, modulus)
 
-    return CurveParams(
+    params = CurveParams(
         name=name,
         modulus=modulus,
         a=residue("a"),
@@ -89,28 +93,32 @@ def parse_curve_file(text: str) -> CurveParams:
         n=numeric("n", modulus.capacity),
         h=numeric("h", modulus.capacity),
     )
+    if not _is_probable_prime(modulus.p.value):
+        raise ValidationError("p is not prime")
+    if not _is_probable_prime(params.n.value):
+        raise ValidationError("n is not prime")
+    if not ladder(params.n, params.g, params).is_infinity:
+        raise ValidationError("n*G is not the identity")
+    return params
 
 
 def load_curve_file(path: str) -> CurveParams:
     try:
         with open(path, encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read curve file: {exc}") from None
     except UnicodeDecodeError:
         raise FormatError("curve file is not ASCII text") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise UsageError(f"cannot read curve file: {exc}") from None
     return parse_curve_file(text)
 
 
 def bundled_curve(name: str) -> CurveParams:
-    """Load a shipped curve, confirming the base point's order on the way."""
+    """Load a shipped curve through :func:`parse_curve_file`."""
     if name not in BUNDLED_CURVES:
         raise ValidationError(f"no bundled curve named {name!r}")
     text = resources.files("ecpf").joinpath(f"curves/{name}.curve").read_text("ascii")
-    params = parse_curve_file(text)
-    if not ladder(params.n, params.g, params).is_infinity:
-        raise ValidationError(f"bundled curve {name}: n*G is not the identity")
-    return params
+    return parse_curve_file(text)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -197,8 +205,7 @@ def _point_argument(text: str, curve: CurveParams) -> AffinePoint:
 
 def _checked_point(text: str, curve: CurveParams) -> AffinePoint:
     point = _point_argument(text, curve)
-    if not on_curve(point, curve):
-        raise DomainError("point not on curve")
+    _require_on_curve(point, curve)
     return point
 
 
@@ -252,13 +259,6 @@ def _dispatch(args) -> list[str]:
     if command == "check":
         if args.point is not None:
             _checked_point(args.point, curve)
-            return ["ok"]
-        if not _is_probable_prime(curve.modulus.p.value):
-            raise ValidationError("p is not prime")
-        if not _is_probable_prime(curve.n.value):
-            raise ValidationError("n is not prime")
-        if not ladder(curve.n, curve.g, curve).is_infinity:
-            raise ValidationError("n*G is not the identity")
         return ["ok"]
 
     return _curve_info_lines(curve)
@@ -266,27 +266,19 @@ def _dispatch(args) -> list[str]:
 
 def run(argv: list[str]) -> int:
     """Execute one command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        lines = _dispatch(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        for line in _dispatch(args):
-            print(line)
-        return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RandomnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # One line, even when the message quotes an argument with a newline.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return 1
+        return 3 if isinstance(exc, RandomnessError) else 2
+    for line in lines:
+        print(line)
+    return 0
 
 
 def main() -> None:

@@ -4,8 +4,7 @@ The point at infinity is a first-class value, so addition and doubling are
 total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.  On-curve validation is available at API boundaries via the
-``validate`` flag; interior callers such as the scalar-multiplication loop
-rely on closure and skip it.
+``validate`` flag.
 
 The law is written once, in ``_add_xy`` and ``_double_xy``, on plain-int
 residues: a point is an (x, y) pair of canonical residues or None for O.

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import INFINITY, AffinePoint, CurveParams, on_curve
-from .curve import _add_xy, _double_xy, _from_xy, _law_constants, _to_xy
-from .errors import DomainError
+from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _double_xy
+from .curve import _from_xy, _law_constants, _require_on_curve, _to_xy
 from .mpint import MpInt
 
 
@@ -47,8 +46,7 @@ def ladder(
 
     k = 0 yields O, k = 1 yields P, and P = O yields O.
     """
-    if not on_curve(point, curve):
-        raise DomainError("point not on curve")
+    _require_on_curve(point, curve)
     length = k.bit_length()
     if length == 0 or point.is_infinity:
         return INFINITY
@@ -73,8 +71,7 @@ def ladder(
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Verification oracle: double each step, add where the bit is set."""
-    if not on_curve(point, curve):
-        raise DomainError("point not on curve")
+    _require_on_curve(point, curve)
     kv = k.value
     p, a = _law_constants(curve)
     base = _to_xy(point, curve)

@@ -85,6 +85,11 @@ def test_load_curve_file(tmp_path):
         load_curve_file(str(tmp_path / "absent.curve"))
 
 
+def test_load_curve_file_nul_in_path_exits_1(capsys):
+    assert run(["curve-info", "--curve-file", "bad\0.curve"]) == 1
+    _one_error(capsys, "cannot read curve file: embedded null byte")
+
+
 def test_bundled_curve_unknown_name():
     with pytest.raises(ValidationError):
         bundled_curve("p256")
@@ -236,3 +241,40 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
+
+
+def _one_error(capsys, message):
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_curve_file_with_composite_order_exits_2(capsys, tmp_path):
+    # 0x26 = 38 = 2*19: G has order 19, so n*G = O yet n is not prime
+    path = tmp_path / "bad.curve"
+    path.write_text(SMOKE17_TEXT.replace("n=13", "n=26"))
+    assert run(["keygen", "--curve-file", str(path), "--seed", "12"]) == 2
+    _one_error(capsys, "n is not prime")
+
+
+def test_curve_file_with_wrong_prime_order_exits_2(capsys, tmp_path):
+    # 0x11 = 17 is prime, but G has order 19
+    path = tmp_path / "bad.curve"
+    path.write_text(SMOKE17_TEXT.replace("n=13", "n=11"))
+    assert run(["keygen", "--curve-file", str(path), "--seed", "12"]) == 2
+    _one_error(capsys, "n*G is not the identity")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "n*G is not the identity")
+
+
+def test_curve_file_with_composite_field_exits_2(capsys, tmp_path):
+    # G = (0, 1) lies on y^2 = x^3 + x + 1 over Z/9, which is not a field
+    path = tmp_path / "bad.curve"
+    path.write_text("name=z9\np=09\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is not prime")
+
+
+def test_error_quoting_a_newline_stays_one_line(capsys):
+    assert run(["curve-info", "--curve", "smoke17", "a\nb"]) == 1
+    _one_error(capsys, "unrecognized arguments: a b")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecpf.errors import ContextError, NoInverseError, RangeError
-from ecpf.field import P192, FieldElement, Modulus, reduce_p192
+from ecpf.field import P192, FieldElement, Modulus
 from ecpf.mpint import MpInt
 from helpers import fermat_inverse
 
@@ -151,18 +151,3 @@ def test_inverse_matches_fermat_oracle():
             assert element.inverse().value.value == fermat_inverse(value, p)
             assert (element * element.inverse()).value.value == 1
 
-
-def test_fast_reduction_matches_generic():
-    rng = random.Random(5)
-    for _ in range(2000):
-        value = rng.getrandbits(384)
-        assert reduce_p192(value) == value % P192
-    for value in (0, 1, P192 - 1, P192, P192 + 1, 2**384 - 1, 2**192, 2**320):
-        assert reduce_p192(value) == value % P192
-
-
-def test_fast_reduction_domain():
-    with pytest.raises(RangeError):
-        reduce_p192(1 << 384)
-    with pytest.raises(RangeError):
-        reduce_p192(-1)
