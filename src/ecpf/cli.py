@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from .curve import AffinePoint, CurveParams, format_point, negate, parse_point
-from .curve import _require_on_curve, point_add, point_double
+from .curve import _enter, point_add, point_double
 from .errors import (
     Error,
     FormatError,
@@ -205,7 +205,7 @@ def _point_argument(text: str, curve: CurveParams) -> AffinePoint:
 
 def _checked_point(text: str, curve: CurveParams) -> AffinePoint:
     point = _point_argument(text, curve)
-    _require_on_curve(point, curve)
+    _enter(point, curve)
     return point
 
 
@@ -246,11 +246,11 @@ def _dispatch(args) -> list[str]:
     if command == "add":
         p1 = _point_argument(args.p1, curve)
         p2 = _point_argument(args.p2, curve)
-        return [format_point(point_add(p1, p2, curve, validate=True), curve)]
+        return [format_point(point_add(p1, p2, curve), curve)]
 
     if command == "double":
         point = _point_argument(args.point, curve)
-        return [format_point(point_double(point, curve, validate=True), curve)]
+        return [format_point(point_double(point, curve), curve)]
 
     if command == "negate":
         point = _checked_point(args.point, curve)

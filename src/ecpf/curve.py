@@ -3,15 +3,14 @@
 The point at infinity is a first-class value, so addition and doubling are
 total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
-failure.  On-curve validation is available at API boundaries via the
-``validate`` flag.
+failure.
 
 The law is written once, in ``_add_xy`` and ``_double_xy``, on plain-int
 residues: a point is an (x, y) pair of canonical residues or None for O.
 ``AffinePoint`` with ``FieldElement`` coordinates and ``MpInt`` values stay
-the types at the public boundary; ``point_add`` and ``point_double`` convert
-around one step of the int law, the scalar-multiplication loops around a
-whole walk, so no ``MpInt`` or ``FieldElement`` is built per field operation.
+the types at the public boundary.  Every group operation converts only at
+entry, through ``_enter``, which rejects a point off the curve, and at exit,
+so no ``MpInt`` or ``FieldElement`` is built per field operation.
 """
 
 from __future__ import annotations
@@ -66,12 +65,9 @@ class CurveParams:
         for coeff in (self.a, self.b):
             if coeff.modulus != self.modulus:
                 raise ContextError("curve coefficients from a different modulus")
-        m = self.modulus
-        discriminant_part = (
-            m.element(4) * self.a * self.a * self.a
-            + m.element(27) * self.b * self.b
-        )
-        if discriminant_part.is_zero:
+        # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
+        p, a, b = self.modulus.p.value, self.a.value.value, self.b.value.value
+        if p == 2 or (4 * a * a * a + 27 * b * b) % p == 0:
             raise ValidationError("curve is singular")
         if self.n.value < 2:
             raise ValidationError("base point order n must be at least 2")
@@ -97,10 +93,11 @@ class CurveParams:
 
 def on_curve(point: AffinePoint, curve: CurveParams) -> bool:
     """Membership by substitution into the curve equation; O always belongs."""
-    if point.is_infinity:
-        return True
-    x, y = point.x, point.y
-    return y * y == (x * x + curve.a) * x + curve.b
+    try:
+        _enter(point, curve)
+    except DomainError:
+        return False
+    return True
 
 
 def negate(point: AffinePoint) -> AffinePoint:
@@ -110,25 +107,16 @@ def negate(point: AffinePoint) -> AffinePoint:
     return AffinePoint(point.x, -point.y)
 
 
-def point_add(
-    p1: AffinePoint, p2: AffinePoint, curve: CurveParams, *, validate: bool = False
-) -> AffinePoint:
-    """Total point addition; the law itself is :func:`_add_xy`."""
-    if validate:
-        _require_on_curve(p1, curve)
-        _require_on_curve(p2, curve)
+def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoint:
+    """Total addition of two points on the curve; the law is :func:`_add_xy`."""
     p, a = _law_constants(curve)
-    return _from_xy(_add_xy(_to_xy(p1, curve), _to_xy(p2, curve), p, a), curve)
+    return _from_xy(_add_xy(_enter(p1, curve), _enter(p2, curve), p, a), curve)
 
 
-def point_double(
-    point: AffinePoint, curve: CurveParams, *, validate: bool = False
-) -> AffinePoint:
-    """Total point doubling; the law itself is :func:`_double_xy`."""
-    if validate:
-        _require_on_curve(point, curve)
+def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
+    """Total doubling of a point on the curve; the law is :func:`_double_xy`."""
     p, a = _law_constants(curve)
-    return _from_xy(_double_xy(_to_xy(point, curve), p, a), curve)
+    return _from_xy(_double_xy(_enter(point, curve), p, a), curve)
 
 
 def _law_constants(curve: CurveParams) -> tuple[int, int]:
@@ -136,13 +124,21 @@ def _law_constants(curve: CurveParams) -> tuple[int, int]:
     return curve.modulus.p.value, curve.a.value.value
 
 
-def _to_xy(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
+def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
+    """The one way into the int law: a point's (x, y) residues, or None for O.
+
+    Raises ``ContextError`` for a point from another modulus context and
+    ``DomainError`` for a point off the curve.
+    """
     if point.is_infinity:
         return None
     m = point.x.modulus
     if m is not curve.modulus and m != curve.modulus:
         raise ContextError("point and curve from different modulus contexts")
-    return point.x.value.value, point.y.value.value
+    x, y = point.x.value.value, point.y.value.value
+    if (y * y - (x * x + curve.a.value.value) * x - curve.b.value.value) % m.p.value:
+        raise DomainError("point not on curve")
+    return x, y
 
 
 def _from_xy(xy: tuple[int, int] | None, curve: CurveParams) -> AffinePoint:
@@ -191,11 +187,6 @@ def _double_xy(point, p: int, a: int):
     s = (3 * x * x + a) * inverse_mod(2 * y % p, p) % p
     x3 = (s * s - 2 * x) % p
     return x3, (s * (x - x3) - y) % p
-
-
-def _require_on_curve(point: AffinePoint, curve: CurveParams) -> None:
-    if not on_curve(point, curve):
-        raise DomainError("point not on curve")
 
 
 def format_point(point: AffinePoint, curve: CurveParams) -> str:

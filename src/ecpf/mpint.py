@@ -5,7 +5,8 @@ double-width product of two field-sized operands still fits (for a b-bit
 field: 2*b bits plus one limb of headroom).  Arithmetic that would exceed
 the capacity raises instead of wrapping; unsigned subtraction below zero
 raises instead of wrapping.  CPython's built-in integer supplies the limb
-arithmetic; the ``limbs`` view decomposes a value into 64-bit words.
+arithmetic.  A view of a value as 64-bit words was removed: every layer
+above works on whole ints, so no code path read it.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class MpInt:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def limbs(self) -> tuple[int, ...]:
-        """Little-endian 64-bit words; words above the value are zero."""
-        count = -(-self._capacity // LIMB_BITS)
-        mask = (1 << LIMB_BITS) - 1
-        return tuple((self._value >> (LIMB_BITS * i)) & mask for i in range(count))
 
     def to_hex(self, width: int) -> str:
         """Lowercase big-endian hex, left-padded with zeros to ``width`` digits."""

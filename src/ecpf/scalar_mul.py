@@ -9,8 +9,8 @@ or beyond the order is computed faithfully (the total group law absorbs
 the intermediate collisions with infinity that this produces).
 
 Both walks take an ``MpInt`` scalar and an ``AffinePoint`` and return an
-``AffinePoint``, checking the point on entry; in between, their loops run
-on plain-int residues through the curve module's int-level group law.
+``AffinePoint``, entering through the curve module's checked ``_enter``; in
+between, their loops run on plain-int residues of its int-level group law.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _double_xy
-from .curve import _from_xy, _law_constants, _require_on_curve, _to_xy
+from .curve import _enter, _from_xy, _law_constants
 from .mpint import MpInt
 
 
@@ -46,15 +46,14 @@ def ladder(
 
     k = 0 yields O, k = 1 yields P, and P = O yields O.
     """
-    _require_on_curve(point, curve)
+    low = _enter(point, curve)
     length = k.bit_length()
-    if length == 0 or point.is_infinity:
+    if length == 0 or low is None:
         return INFINITY
     if length == 1:
         return point
     kv = k.value
     p, a = _law_constants(curve)
-    low = _to_xy(point, curve)
     high = _double_xy(low, p, a)
     for i in range(length - 2, -1, -1):
         if (kv >> i) & 1:
@@ -71,10 +70,9 @@ def ladder(
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Verification oracle: double each step, add where the bit is set."""
-    _require_on_curve(point, curve)
     kv = k.value
     p, a = _law_constants(curve)
-    base = _to_xy(point, curve)
+    base = _enter(point, curve)
     acc = None
     for i in range(kv.bit_length() - 1, -1, -1):
         acc = _double_xy(acc, p, a)

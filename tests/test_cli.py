@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ecpf
 from ecpf.cli import bundled_curve, load_curve_file, parse_curve_file, run
 from ecpf.curve import parse_point
 from ecpf.errors import FormatError, ParseError, UsageError, ValidationError
@@ -235,9 +238,12 @@ def test_help_exits_0(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same ecpf as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-m", "ecpf", "keygen", "--curve", "smoke17", "--seed", "09"],
         capture_output=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
@@ -271,6 +277,17 @@ def test_curve_file_with_composite_field_exits_2(capsys, tmp_path):
     # G = (0, 1) lies on y^2 = x^3 + x + 1 over Z/9, which is not a field
     path = tmp_path / "bad.curve"
     path.write_text("name=z9\np=09\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is not prime")
+
+
+def test_curve_file_over_gf2_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.curve"
+    path.write_text("name=gf2\np=02\na=01\nb=01\ngx=00\ngy=01\nn=05\nh=01\n")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "curve is singular")
+    # an even composite p still fails as composite
+    path.write_text("name=z4\np=04\na=01\nb=01\ngx=00\ngy=01\nn=05\nh=01\n")
     assert run(["curve-info", "--curve-file", str(path)]) == 2
     _one_error(capsys, "p is not prime")
 

@@ -14,6 +14,7 @@ from ecpf.curve import (
 from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
 from ecpf.field import Modulus
 from ecpf.mpint import MpInt
+from ecpf.scalar_mul import double_and_add, ladder
 from helpers import as_xy, enumerate_points, mk_point, oracle_add
 
 
@@ -90,12 +91,12 @@ def test_validate_flag_rejects_off_curve(smoke17):
     bad = mk_point(smoke17, (5, 2))
     good = mk_point(smoke17, (5, 1))
     with pytest.raises(DomainError):
-        point_add(bad, good, smoke17, validate=True)
+        point_add(bad, good, smoke17)
     with pytest.raises(DomainError):
-        point_add(good, bad, smoke17, validate=True)
+        point_add(good, bad, smoke17)
     with pytest.raises(DomainError):
-        point_double(bad, smoke17, validate=True)
-    point_add(good, good, smoke17, validate=True)
+        point_double(bad, smoke17)
+    point_add(good, good, smoke17)
 
 
 def test_affine_point_needs_both_coordinates(smoke17):
@@ -111,6 +112,25 @@ def test_affine_point_context_consistency():
         AffinePoint(Modulus.from_int(17).element(5), Modulus.from_int(19).element(1))
 
 
+def test_point_from_another_modulus_is_rejected(smoke17):
+    # (5, 1) lies on smoke17, but these coordinates live in GF(19)
+    m19 = Modulus.from_int(19)
+    foreign = AffinePoint(m19.element(5), m19.element(1))
+    good = mk_point(smoke17, (5, 1))
+    k = MpInt(3, smoke17.modulus.capacity)
+    calls = [
+        lambda: on_curve(foreign, smoke17),
+        lambda: point_add(foreign, good, smoke17),
+        lambda: point_add(good, foreign, smoke17),
+        lambda: point_double(foreign, smoke17),
+        lambda: ladder(k, foreign, smoke17),
+        lambda: double_and_add(k, foreign, smoke17),
+    ]
+    for call in calls:
+        with pytest.raises(ContextError):
+            call()
+
+
 def test_curve_params_validation():
     with pytest.raises(ValidationError, match="singular"):
         CurveParams.from_ints("bad", 17, 0, 0, 5, 1, 19, 1)
@@ -118,6 +138,9 @@ def test_curve_params_validation():
         CurveParams.from_ints("bad", 17, 2, 2, 5, 2, 19, 1)
     with pytest.raises(ValidationError, match="n"):
         CurveParams.from_ints("bad", 17, 2, 2, 5, 1, 1, 1)
+    # 4a^3 + 27b^2 = b^2 = 1 (mod 2), yet every curve over GF(2) is singular
+    with pytest.raises(ValidationError, match="curve is singular"):
+        CurveParams.from_ints("gf2", 2, 1, 1, 0, 1, 5, 1)
 
 
 def test_curve_params_rejects_infinite_base():

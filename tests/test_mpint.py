@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecpf.errors import ParseError, RangeError, UnderflowError
-from ecpf.mpint import DEFAULT_CAPACITY, LIMB_BITS, MpInt, capacity_for_bits
+from ecpf.mpint import DEFAULT_CAPACITY, MpInt, capacity_for_bits
 
 NIST_PRIME_HEX = "fffffffffffffffffffffffffffffffeffffffffffffffff"
 
@@ -121,14 +121,6 @@ def test_mul_overflow():
         MpInt(16, 8) * MpInt(16, 8)
 
 
-def test_limbs_view():
-    x = MpInt(2**64 + 1, DEFAULT_CAPACITY)
-    limbs = x.limbs
-    assert len(limbs) == DEFAULT_CAPACITY // LIMB_BITS
-    assert limbs[0] == 1 and limbs[1] == 1
-    assert all(word == 0 for word in limbs[2:])
-
-
 def test_capacity_for_bits():
     assert capacity_for_bits(192) == DEFAULT_CAPACITY
 
@@ -184,17 +176,3 @@ def test_bit_and_bit_length_agree(value):
         index = length + offset
         if index < x.capacity:
             assert x.bit(index) == 0
-
-
-@given(values)
-def test_limbs_reconstruct_value(value):
-    x = MpInt(value)
-    assert sum(word << (LIMB_BITS * i) for i, word in enumerate(x.limbs)) == value
-
-
-@given(values)
-def test_canonical_high_limbs_zero(value):
-    x = MpInt(value)
-    for i, word in enumerate(x.limbs):
-        if LIMB_BITS * i >= x.bit_length():
-            assert word == 0
