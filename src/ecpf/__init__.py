@@ -1,9 +1,9 @@
 """Elliptic-curve key generation over prime fields GF(p).
 
-Layers, bottom up: fixed-capacity unsigned integers (``mpint``), prime-field
-arithmetic (``field``), the total affine Weierstrass group law (``curve``),
-Montgomery-ladder scalar multiplication with a double-and-add oracle
-(``scalar_mul``), keypair generation (``keygen``), and a batch CLI (``cli``).
+Layers, bottom up: fixed-capacity integers (``mpint``), GF(p) arithmetic
+(``field``), affine and complete projective group laws (``curve``), a
+Montgomery ladder on the projective law with an affine double-and-add
+oracle (``scalar_mul``), keypair generation (``keygen``) and a batch CLI (``cli``).
 Every value is immutable after construction and safe to share across threads.
 """
 

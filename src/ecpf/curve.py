@@ -1,16 +1,17 @@
-"""Affine group law on short-Weierstrass curves y**2 = x**3 + a*x + b over GF(p).
+"""Group law on short-Weierstrass curves y**2 = x**3 + a*x + b over GF(p).
 
 The point at infinity is a first-class value, so addition and doubling are
 total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written once, in ``_add_xy`` and ``_double_xy``, on plain-int
-residues: a point is an (x, y) pair of canonical residues or None for O.
-``AffinePoint`` with ``FieldElement`` coordinates and ``MpInt`` values stay
-the types at the public boundary.  Every group operation converts only at
-entry, through ``_enter``, which rejects a point off the curve, and at exit,
-so no ``MpInt`` or ``FieldElement`` is built per field operation.
+The law is written twice on plain-int residues: affine, in ``_add_xy`` and
+``_double_xy`` on (x, y) pairs with None for O, one inversion per operation;
+complete projective, in ``_add_xyz`` on (X:Y:Z) triples with O as (0:1:0),
+which the ladder runs and inverts once, in ``_from_xyz``.  ``AffinePoint``
+with ``FieldElement`` coordinates and ``MpInt`` values stay the public
+types: each operation converts only at entry, through ``_enter``, which
+rejects a point off the curve, and at exit.
 """
 
 from __future__ import annotations
@@ -187,6 +188,37 @@ def _double_xy(point, p: int, a: int):
     s = (3 * x * x + a) * inverse_mod(2 * y % p, p) % p
     x3 = (s * s - 2 * x) % p
     return x3, (s * (x - x3) - y) % p
+
+
+def _add_xyz(p1, p2, p: int, a: int, b3: int):
+    """Complete projective addition, which doubles too (p1 = p2).
+
+    Renes, Costello, Batina, "Complete addition formulas for prime order
+    elliptic curves" (EUROCRYPT 2016), Alg. 1, general a, b3 = 3*b mod p;
+    12M + 3m_a + 2m_3b.  Exact unless p1 - p2 has order 2 (even-order curves).
+    """
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    t0, t1, t2 = x1 * x2 % p, y1 * y2 % p, z1 * z2 % p
+    t3 = ((x1 + y1) * (x2 + y2) - t0 - t1) % p
+    t4 = ((x1 + z1) * (x2 + z2) - t0 - t2) % p
+    t5 = ((y1 + z1) * (y2 + z2) - t1 - t2) % p
+    w = a * t4 + b3 * t2
+    u, v = (t1 - w) % p, (t1 + w) % p
+    t2 = a * t2 % p
+    w = (3 * t0 + t2) % p
+    s = (b3 * t4 + a * (t0 - t2)) % p
+    return (t3 * u - t5 * s) % p, (u * v + w * s) % p, (t5 * v + t3 * w) % p
+
+
+def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
+    """Back to affine with the one inversion: (X:Y:Z) is (X/Z, Y/Z), Z = 0 is O."""
+    x, y, z = xyz
+    if z == 0:
+        return INFINITY
+    p = curve.modulus.p.value
+    zi = inverse_mod(z, p)
+    return _from_xy((x * zi % p, y * zi % p), curve)
 
 
 def format_point(point: AffinePoint, curve: CurveParams) -> str:

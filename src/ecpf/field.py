@@ -45,10 +45,6 @@ class Modulus:
         """Fixed hex-digit width of serialized elements."""
         return -(-self.bits // 4)
 
-    def reduce(self, x: MpInt) -> "FieldElement":
-        """Map any in-capacity integer to its canonical residue."""
-        return FieldElement(MpInt(x.value % self.p.value, self.capacity), self)
-
     def element(self, value: int | MpInt) -> "FieldElement":
         """Convenience constructor accepting plain integers."""
         if isinstance(value, MpInt):

@@ -72,12 +72,6 @@ class MpInt:
         """Index of the highest set bit plus one; 0 for the value 0."""
         return self._value.bit_length()
 
-    def bit(self, i: int) -> int:
-        """The i-th binary digit, bit 0 being least significant."""
-        if not 0 <= i < self._capacity:
-            raise RangeError(f"bit index {i} outside capacity {self._capacity}")
-        return (self._value >> i) & 1
-
     def compare(self, other: "MpInt") -> int:
         """-1, 0, or 1 as self is less than, equal to, or greater than other."""
         if self._value < other._value:

@@ -9,16 +9,18 @@ or beyond the order is computed faithfully (the total group law absorbs
 the intermediate collisions with infinity that this produces).
 
 Both walks take an ``MpInt`` scalar and an ``AffinePoint`` and return an
-``AffinePoint``, entering through the curve module's checked ``_enter``; in
-between, their loops run on plain-int residues of its int-level group law.
+``AffinePoint``, entering through the curve module's checked ``_enter``.
+The ladder runs the complete projective law and inverts once, at exit; the
+oracle runs the affine law, one inversion per operation, so the two check
+different formulas against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _double_xy
-from .curve import _enter, _from_xy, _law_constants
+from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _add_xyz, _double_xy
+from .curve import _enter, _from_xy, _from_xyz, _law_constants
 from .mpint import MpInt
 
 
@@ -42,30 +44,33 @@ def ladder(
     Registers start as (P, 2P).  Scanning bits from the second-highest down
     to bit 0: a set bit folds the sum into the low register and doubles the
     high one, a clear bit does the mirror image.  The pair's difference
-    stays P throughout, and the low register is the result.
+    stays P throughout, and the low register is the result.  Both steps run
+    the complete projective law; the only inversion is the one at exit.
 
     k = 0 yields O, k = 1 yields P, and P = O yields O.
     """
     low = _enter(point, curve)
-    length = k.bit_length()
-    if length == 0 or low is None:
-        return INFINITY
-    if length == 1:
-        return point
     kv = k.value
+    if kv == 0 or low is None:
+        return INFINITY
+    # The complete law fails when the registers' difference P has order 2.
+    if kv == 1 or low[1] == 0:
+        return point if kv & 1 else INFINITY
     p, a = _law_constants(curve)
-    high = _double_xy(low, p, a)
-    for i in range(length - 2, -1, -1):
+    b3 = 3 * curve.b.value.value % p
+    low = (*low, 1)
+    high = _add_xyz(low, low, p, a, b3)
+    for i in range(kv.bit_length() - 2, -1, -1):
         if (kv >> i) & 1:
-            low = _add_xy(low, high, p, a)
-            high = _double_xy(high, p, a)
+            low = _add_xyz(low, high, p, a, b3)
+            high = _add_xyz(high, high, p, a, b3)
         else:
-            high = _add_xy(high, low, p, a)
-            low = _double_xy(low, p, a)
+            high = _add_xyz(high, low, p, a, b3)
+            low = _add_xyz(low, low, p, a, b3)
         if counter is not None:
             counter.adds += 1
             counter.doubles += 1
-    return _from_xy(low, curve)
+    return _from_xyz(low, curve)
 
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:

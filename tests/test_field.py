@@ -27,17 +27,6 @@ def test_modulus_caches_bits():
     assert FP192.hex_width == 48
 
 
-def test_reduce_examples():
-    assert F17.reduce(MpInt(21)).value.value == 4
-    assert F17.reduce(MpInt(0)).value.value == 0
-    assert F17.reduce(MpInt(17)).value.value == 0
-
-
-def test_reduce_accepts_full_capacity():
-    huge = MpInt(2**FP192.capacity - 1, FP192.capacity)
-    assert FP192.reduce(huge).value.value == (2**FP192.capacity - 1) % P192
-
-
 def test_element_must_be_canonical():
     with pytest.raises(RangeError):
         FieldElement(MpInt(17), F17)

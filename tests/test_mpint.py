@@ -75,21 +75,6 @@ def test_bit_length_examples():
     assert MpInt(256).bit_length() == 9
 
 
-def test_bit_examples():
-    five = MpInt(5)
-    assert (five.bit(0), five.bit(1), five.bit(2)) == (1, 0, 1)
-    assert five.bit(3) == 0
-
-
-def test_bit_index_range():
-    x = MpInt(5, 8)
-    assert x.bit(7) == 0
-    with pytest.raises(RangeError):
-        x.bit(8)
-    with pytest.raises(RangeError):
-        x.bit(-1)
-
-
 def test_add_examples():
     assert (MpInt(2) + MpInt(3)).value == 5
     x = MpInt(123456789)
@@ -164,15 +149,3 @@ def test_compare_consistent_with_sub(a, b):
             xa - xb
     else:
         assert (xa - xb).value == a - b
-
-
-@given(values)
-def test_bit_and_bit_length_agree(value):
-    x = MpInt(value)
-    length = x.bit_length()
-    if value:
-        assert x.bit(length - 1) == 1
-    for offset in (0, 1, 7):
-        index = length + offset
-        if index < x.capacity:
-            assert x.bit(index) == 0

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
-from ecpf.curve import INFINITY, negate, point_add, point_double
+from ecpf.curve import INFINITY, CurveParams, negate, point_add, point_double
 from ecpf.errors import DomainError
-from ecpf.field import P192
+from ecpf.field import P192, inverse_mod
 from ecpf.scalar_mul import OpCounter, double_and_add, ladder
 from helpers import (
     as_xy,
@@ -57,6 +58,61 @@ def test_exhaustive_equivalence_small_curve(smoke17):
             via_daa = double_and_add(scalar(smoke17, k), point, smoke17)
             assert as_xy(via_ladder) == expected, (k, xy)
             assert as_xy(via_daa) == expected, (k, xy)
+
+
+@pytest.mark.parametrize(
+    "p, a, b, size, order_two",
+    [(5, 4, 0, 8, 3), (11, 1, 0, 12, 1)],
+)
+def test_exhaustive_equivalence_even_order_curves(p, a, b, size, order_two):
+    # The complete projective law fails when its operands differ by a point
+    # of order 2, so the ladder must treat a P with y = 0 apart.
+    points = enumerate_points(p, a, b)
+    assert len(points) == size
+    assert sum(1 for xy in points if xy is not None and xy[1] == 0) == order_two
+    curve = CurveParams.from_ints(f"even{p}", p, a, b, 0, 0, 2, size // 2)
+    for xy in points:
+        point = mk_point(curve, xy)
+        for k in range(3 * size):
+            via_ladder = ladder(scalar(curve, k), point, curve)
+            assert as_xy(via_ladder) == oracle_mul_repeated(k, xy, p, a), (k, xy)
+            assert via_ladder == double_and_add(scalar(curve, k), point, curve), (k, xy)
+
+
+def test_ladder_edge_scalars_p192_other_point(p192):
+    n = p192.n.value
+    q_xy = oracle_mul_binary(7, as_xy(p192.g), P192, P192 - 3)
+    q = mk_point(p192, q_xy)
+    for k in (0, 1, 2, n - 1, n, n + 1, 2 * n - 1, 2**191, 2**192 - 1):
+        via_ladder = ladder(scalar(p192, k), q, p192)
+        assert via_ladder == double_and_add(scalar(p192, k), q, p192), k
+        assert as_xy(via_ladder) == oracle_mul_binary(k, q_xy, P192, P192 - 3), k
+
+
+def test_ladder_inverts_once_p192(p192, monkeypatch):
+    calls = []
+
+    def counted(value, p):
+        calls.append(value)
+        return inverse_mod(value, p)
+
+    wrapped = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "ecpf":
+            continue
+        if vars(module).get("inverse_mod") is inverse_mod:
+            monkeypatch.setattr(module, "inverse_mod", counted)
+            wrapped.append(name)
+    assert "ecpf.curve" in wrapped
+    k = scalar(p192, random.Random(5).getrandbits(192) | 1 << 191)
+    double_and_add(k, p192.g, p192)  # the affine oracle inverts per operation
+    assert len(calls) > 192
+    calls.clear()
+    assert not ladder(k, p192.g, p192).is_infinity
+    assert len(calls) == 1
+    calls.clear()
+    assert ladder(p192.n, p192.g, p192).is_infinity
+    assert calls == []
 
 
 def test_random_equivalence_p192_against_oracle(p192):
