@@ -1,6 +1,7 @@
 """Command-line surface: keygen, mul, add, double, negate, check, curve-info.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+This module reads argv, dispatches to the library and writes the output:
+results to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage error, 2 validation or domain error, 3 randomness failure.
 """
 
@@ -8,140 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from .curve import AffinePoint, CurveParams, format_point, negate, parse_point
 from .curve import _enter, point_add, point_double
-from .errors import (
-    Error,
-    FormatError,
-    ParseError,
-    RandomnessError,
-    UsageError,
-    ValidationError,
-)
-from .field import FieldElement, Modulus
+
+# parse_curve_file is not called here: tests and the ("ecpf.cli", ...)
+# wrappers of perfbench/tracing.py reach the loaders through this module.
+from .domain import BUNDLED_CURVES, bundled_curve, load_curve_file, parse_curve_file
+from .errors import Error, RandomnessError, UsageError
 from .keygen import generate_keypair
 from .mpint import MpInt
 from .scalar_mul import ladder
-
-BUNDLED_CURVES = ("p192", "smoke17")
-
-_REQUIRED_KEYS = ("name", "p", "a", "b", "gx", "gy", "n", "h")
-
-# Fixed Miller-Rabin bases: deterministic below 3.3e24, strong evidence above.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def parse_curve_file(text: str) -> CurveParams:
-    """Parse and validate the key=value curve description format.
-
-    Required keys, each exactly once: name, p, a, b, gx, gy, n, h.  Numeric
-    values are unprefixed hex; lines starting with '#' and blank lines are
-    ignored; keys are case-sensitive and order-free.
-
-    This is the one place where curve-domain validity is decided, for
-    bundled curves and curve files alike: beyond the structural checks of
-    ``CurveParams``, p and n must be probable primes and n*G must be O.
-    Together these make d*G finite for every d in [1, n-1].
-    """
-    entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected key=value")
-        key, value = key.strip(), value.strip()
-        if key not in _REQUIRED_KEYS:
-            raise FormatError(f"line {lineno}: unknown key {key}")
-        if key in entries:
-            raise FormatError(f"duplicate key {key}")
-        entries[key] = (value, lineno)
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise FormatError(f"missing key {key}")
-
-    name = entries["name"][0]
-    if not name:
-        raise FormatError("empty curve name")
-
-    def numeric(key: str, capacity: int) -> MpInt:
-        value, lineno = entries[key]
-        try:
-            return MpInt.from_hex(value, capacity)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {key}: {exc}") from None
-
-    # p sizes its own capacity; everything else lives in p's context.
-    p_text = entries["p"][0]
-    modulus = Modulus(numeric("p", max(4 * len(p_text), 8)))
-
-    def residue(key: str) -> FieldElement:
-        value = numeric(key, modulus.capacity)
-        if value >= modulus.p:
-            raise ValidationError(f"{key} is not a canonical residue")
-        return FieldElement(value, modulus)
-
-    params = CurveParams(
-        name=name,
-        modulus=modulus,
-        a=residue("a"),
-        b=residue("b"),
-        g=AffinePoint(residue("gx"), residue("gy")),
-        n=numeric("n", modulus.capacity),
-        h=numeric("h", modulus.capacity),
-    )
-    if not _is_probable_prime(modulus.p.value):
-        raise ValidationError("p is not prime")
-    if not _is_probable_prime(params.n.value):
-        raise ValidationError("n is not prime")
-    if not ladder(params.n, params.g, params).is_infinity:
-        raise ValidationError("n*G is not the identity")
-    return params
-
-
-def load_curve_file(path: str) -> CurveParams:
-    try:
-        with open(path, encoding="ascii") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise FormatError("curve file is not ASCII text") from None
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise UsageError(f"cannot read curve file: {exc}") from None
-    return parse_curve_file(text)
-
-
-def bundled_curve(name: str) -> CurveParams:
-    """Load a shipped curve through :func:`parse_curve_file`."""
-    if name not in BUNDLED_CURVES:
-        raise ValidationError(f"no bundled curve named {name!r}")
-    text = resources.files("ecpf").joinpath(f"curves/{name}.curve").read_text("ascii")
-    return parse_curve_file(text)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in _MR_BASES:
-        if n % small == 0:
-            return n == small
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for base in _MR_BASES:
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,12 +81,6 @@ def _point_argument(text: str, curve: CurveParams) -> AffinePoint:
     return parse_point(text, curve)
 
 
-def _checked_point(text: str, curve: CurveParams) -> AffinePoint:
-    point = _point_argument(text, curve)
-    _enter(point, curve)
-    return point
-
-
 def _curve_info_lines(curve: CurveParams) -> list[str]:
     width = curve.modulus.hex_width
 
@@ -253,12 +125,13 @@ def _dispatch(args) -> list[str]:
         return [format_point(point_double(point, curve), curve)]
 
     if command == "negate":
-        point = _checked_point(args.point, curve)
+        point = _point_argument(args.point, curve)
+        _enter(point, curve)
         return [format_point(negate(point), curve)]
 
     if command == "check":
         if args.point is not None:
-            _checked_point(args.point, curve)
+            _enter(_point_argument(args.point, curve), curve)
         return ["ok"]
 
     return _curve_info_lines(curve)

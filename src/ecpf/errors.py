@@ -13,10 +13,6 @@ class RangeError(Error):
     """A value does not fit its fixed capacity, width, or index range."""
 
 
-class UnderflowError(Error):
-    """Unsigned subtraction with minuend smaller than subtrahend."""
-
-
 class ContextError(Error):
     """Operands belong to different modulus or curve contexts."""
 

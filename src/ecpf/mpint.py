@@ -2,18 +2,19 @@
 
 Values are immutable and bounded by a capacity chosen so that the full
 double-width product of two field-sized operands still fits (for a b-bit
-field: 2*b bits plus one limb of headroom).  Arithmetic that would exceed
-the capacity raises instead of wrapping; unsigned subtraction below zero
-raises instead of wrapping.  CPython's built-in integer supplies the limb
-arithmetic.  A view of a value as 64-bit words was removed: every layer
-above works on whole ints, so no code path read it.
+field: 2*b bits plus one limb of headroom).  The constructor raises on a
+negative value or one that exceeds the capacity, instead of wrapping.
+``MpInt`` carries values for parsing, validation and output; it has no
+arithmetic, because every layer above computes on whole ints (CPython's
+built-in integer), so no code path used its add, subtract or multiply, or
+a view of a value as 64-bit words.
 """
 
 from __future__ import annotations
 
 from string import hexdigits
 
-from .errors import ParseError, RangeError, UnderflowError
+from .errors import ParseError, RangeError
 
 LIMB_BITS = 64
 
@@ -79,23 +80,6 @@ class MpInt:
         if self._value > other._value:
             return 1
         return 0
-
-    def __add__(self, other: "MpInt") -> "MpInt":
-        if not isinstance(other, MpInt):
-            return NotImplemented
-        return MpInt(self._value + other._value, max(self._capacity, other._capacity))
-
-    def __sub__(self, other: "MpInt") -> "MpInt":
-        if not isinstance(other, MpInt):
-            return NotImplemented
-        if self._value < other._value:
-            raise UnderflowError("unsigned subtraction underflow")
-        return MpInt(self._value - other._value, max(self._capacity, other._capacity))
-
-    def __mul__(self, other: "MpInt") -> "MpInt":
-        if not isinstance(other, MpInt):
-            return NotImplemented
-        return MpInt(self._value * other._value, max(self._capacity, other._capacity))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MpInt):

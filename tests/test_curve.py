@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ecpf.curve import (
@@ -11,6 +13,7 @@ from ecpf.curve import (
     point_add,
     point_double,
 )
+from ecpf.curve import _add_xy, _add_xyz, _double_xy
 from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
 from ecpf.field import Modulus
 from ecpf.mpint import MpInt
@@ -18,9 +21,37 @@ from ecpf.scalar_mul import double_and_add, ladder
 from helpers import as_xy, enumerate_points, mk_point, oracle_add
 
 
+SWEEP_PRIMES = (3, 5, 7, 11, 13)
+
+
 @pytest.fixture(scope="module")
 def smoke17_points(smoke17):
     return [mk_point(smoke17, xy) for xy in enumerate_points(17, 2, 2)]
+
+
+def small_curves():
+    """(p, a, b, points) for every nonsingular curve over GF(p), p in SWEEP_PRIMES."""
+    for p in SWEEP_PRIMES:
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    yield p, a, b, enumerate_points(p, a, b)
+
+
+def lift(xy, lam, p):
+    """The representative (lam*X : lam*Y : lam*Z); O is (0 : lam : 0)."""
+    if xy is None:
+        return 0, lam, 0
+    return xy[0] * lam % p, xy[1] * lam % p, lam
+
+
+def project(xyz, p):
+    """Affine form of a triple; one with Z = 0 other than (0 : Y : 0) is no point."""
+    x, y, z = xyz
+    if z == 0:
+        return None if x == 0 and y != 0 else "not a point"
+    zi = pow(z, -1, p)
+    return x * zi % p, y * zi % p
 
 
 def test_on_curve_examples(smoke17):
@@ -195,3 +226,31 @@ def test_parse_point_errors(smoke17):
         parse_point("zz,01", smoke17)
     with pytest.raises(ValidationError):
         parse_point("12,01", smoke17)  # 0x12 = 18 >= 17
+
+
+def test_complete_law_fails_only_on_order_two_differences():
+    rng = random.Random(2016)
+    cases = failures = 0
+    for p, a, b, points in small_curves():
+        for P in points:
+            minus_p = None if P is None else (P[0], -P[1] % p)
+            for Q in points:
+                got = _add_xyz(
+                    lift(P, rng.randrange(1, p), p), lift(Q, rng.randrange(1, p), p),
+                    p, a, 3 * b % p,
+                )
+                diff = oracle_add(Q, minus_p, p, a)
+                order_two = diff is not None and diff[1] == 0
+                exact = project(got, p) == oracle_add(P, Q, p, a)
+                assert exact != order_two, (p, a, b, P, Q, got)
+                cases += 1
+                failures += order_two
+    assert (cases, failures) == (53538, 3624)
+
+
+def test_affine_law_sweep():
+    for p, a, b, points in small_curves():
+        for P in points:
+            assert _double_xy(P, p, a) == oracle_add(P, P, p, a), (p, a, b, P)
+            for Q in points:
+                assert _add_xy(P, Q, p, a) == oracle_add(P, Q, p, a), (p, a, b, P, Q)

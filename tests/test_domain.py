@@ -1,0 +1,43 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ecpf
+import ecpf.domain
+from ecpf.domain import bundled_curve, parse_curve_file
+from ecpf.errors import ValidationError
+
+
+def test_library_import_leaves_cli_unloaded():
+    # The child imports the same ecpf as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+    code = "import sys, ecpf, ecpf.domain; print({'ecpf.cli', 'argparse'} & set(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"set()\n"
+
+
+def test_bundled_curve_is_validated_once(monkeypatch):
+    calls = []
+    ladder = ecpf.domain.ladder
+
+    def counted(k, point, curve):
+        calls.append(k)
+        return ladder(k, point, curve)
+
+    monkeypatch.setattr(ecpf.domain, "ladder", counted)
+    first = bundled_curve("p192")
+    calls.clear()
+    assert bundled_curve("p192") is first
+    assert calls == []
+    # the wrapper sees the n*G check of every load that is not cached
+    parse_curve_file("name=s\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n")
+    assert len(calls) == 1
+
+
+def test_unknown_bundled_curve_is_rejected():
+    with pytest.raises(ValidationError, match="no bundled curve named 'nope'"):
+        bundled_curve("nope")
