@@ -5,13 +5,13 @@ total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written twice on plain-int residues: affine, in ``_add_xy`` and
-``_double_xy`` on (x, y) pairs with None for O, one inversion per operation;
-complete projective, in ``_add_xyz`` on (X:Y:Z) triples with O as (0:1:0),
-which the ladder runs and inverts once, in ``_from_xyz``.  ``AffinePoint``
-with ``FieldElement`` coordinates and ``MpInt`` values stay the public
-types: each operation converts only at entry, through ``_enter``, which
-rejects a point off the curve, and at exit.
+The law is written twice on plain-int residues, each a single function that
+adds and doubles: affine, ``_add_xy`` on (x, y) pairs with None for O, one
+inversion per operation; complete projective, ``_add_xyz`` on (X:Y:Z)
+triples with O as (0:1:0), which the ladder runs and inverts once, in
+``_from_xyz``.  ``AffinePoint`` with ``FieldElement`` coordinates and
+``MpInt`` values stay the public types: each operation converts only at
+entry, through ``_enter``, which rejects a point off the curve, and at exit.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoi
 
 
 def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
-    """Total doubling of a point on the curve; the law is :func:`_double_xy`."""
+    """Total doubling of a point on the curve; the law is :func:`_add_xy`."""
     p, a = _law_constants(curve)
-    return _from_xy(_double_xy(_enter(point, curve), p, a), curve)
+    xy = _enter(point, curve)
+    return _from_xy(_add_xy(xy, xy, p, a), curve)
 
 
 def _law_constants(curve: CurveParams) -> tuple[int, int]:
@@ -150,12 +151,13 @@ def _from_xy(xy: tuple[int, int] | None, curve: CurveParams) -> AffinePoint:
 
 
 def _add_xy(p1, p2, p: int, a: int):
-    """Affine addition.
+    """Affine addition, which doubles too (p1 = p2).
 
-    Dispatch order: identity operands first, then the vertical chord
-    (x1 = x2 with y1 = -y2, which also covers a shared zero ordinate),
-    then equal points via the tangent law, and finally the generic chord
-    s = (y2 - y1)/(x2 - x1) with x3 = s**2 - x1 - x2 and
+    O is the identity.  Points with x1 = x2 sum to O when y1 = -y2 (a
+    vertical line, which also covers doubling a point with y = 0);
+    otherwise they are equal and the slope is the tangent's,
+    s = (3*x1**2 + a)/(2*y1).  Points with x1 != x2 take the chord's,
+    s = (y2 - y1)/(x2 - x1).  Either way x3 = s**2 - x1 - x2 and
     y3 = s*(x1 - x3) - y1.
     """
     if p1 is None:
@@ -167,27 +169,11 @@ def _add_xy(p1, p2, p: int, a: int):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        return _double_xy(p1, p, a)
-    s = (y2 - y1) * inverse_mod((x2 - x1) % p, p) % p
+        s = (3 * x1 * x1 + a) * inverse_mod(2 * y1 % p, p) % p
+    else:
+        s = (y2 - y1) * inverse_mod((x2 - x1) % p, p) % p
     x3 = (s * s - x1 - x2) % p
     return x3, (s * (x1 - x3) - y1) % p
-
-
-def _double_xy(point, p: int, a: int):
-    """Affine doubling.
-
-    O doubles to O, and a point with zero ordinate has a vertical tangent,
-    so it doubles to O as well.  Otherwise the tangent law applies:
-    s = (3*x**2 + a)/(2*y), x3 = s**2 - 2*x, y3 = s*(x - x3) - y.
-    """
-    if point is None:
-        return None
-    x, y = point
-    if y == 0:
-        return None
-    s = (3 * x * x + a) * inverse_mod(2 * y % p, p) % p
-    x3 = (s * s - 2 * x) % p
-    return x3, (s * (x - x3) - y) % p
 
 
 def _add_xyz(p1, p2, p: int, a: int, b3: int):

@@ -24,6 +24,9 @@ BUNDLED_CURVES = ("p192", "smoke17")
 
 _REQUIRED_KEYS = ("name", "p", "a", "b", "gx", "gy", "n", "h")
 
+# Read as ASCII with newline="", one character is one byte.
+_MAX_CURVE_FILE = 65536  # the shipped curves are 382 and 110 bytes
+
 # Fixed Miller-Rabin bases: deterministic below 3.3e24, strong evidence above.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -99,12 +102,14 @@ def parse_curve_file(text: str) -> CurveParams:
 
 def load_curve_file(path: str) -> CurveParams:
     try:
-        with open(path, encoding="ascii") as handle:
-            text = handle.read()
+        with open(path, encoding="ascii", newline="") as handle:
+            text = handle.read(_MAX_CURVE_FILE + 1)
     except UnicodeDecodeError:
         raise FormatError("curve file is not ASCII text") from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot read curve file: {exc}") from None
+    if len(text) > _MAX_CURVE_FILE:
+        raise FormatError(f"curve file is larger than {_MAX_CURVE_FILE} bytes")
     return parse_curve_file(text)
 
 

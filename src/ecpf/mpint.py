@@ -6,8 +6,7 @@ field: 2*b bits plus one limb of headroom).  The constructor raises on a
 negative value or one that exceeds the capacity, instead of wrapping.
 ``MpInt`` carries values for parsing, validation and output; it has no
 arithmetic, because every layer above computes on whole ints (CPython's
-built-in integer), so no code path used its add, subtract or multiply, or
-a view of a value as 64-bit words.
+built-in integer).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _add_xyz, _double_xy
+from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _add_xyz
 from .curve import _enter, _from_xy, _from_xyz, _law_constants
 from .mpint import MpInt
 
@@ -41,36 +41,34 @@ def ladder(
 ) -> AffinePoint:
     """Montgomery-ladder scalar multiplication.
 
-    Registers start as (P, 2P).  Scanning bits from the second-highest down
-    to bit 0: a set bit folds the sum into the low register and doubles the
-    high one, a clear bit does the mirror image.  The pair's difference
-    stays P throughout, and the low register is the result.  Both steps run
-    the complete projective law; the only inversion is the one at exit.
+    Registers R0, R1 start as (P, 2P).  Each scalar bit b, from the
+    second-highest down to bit 0, is one step with no branch on b:
+    R[1-b] = R0 + R1, then R[b] = 2*R[b] (Joye-Yen, CHES 2002).  The pair's
+    difference stays P throughout, and R0 is the result.  Both operations
+    run the complete projective law, which is symmetric in its operands;
+    the only inversion is the one at exit.
 
     k = 0 yields O, k = 1 yields P, and P = O yields O.
     """
-    low = _enter(point, curve)
+    xy = _enter(point, curve)
     kv = k.value
-    if kv == 0 or low is None:
+    if kv == 0 or xy is None:
         return INFINITY
     # The complete law fails when the registers' difference P has order 2.
-    if kv == 1 or low[1] == 0:
+    if kv == 1 or xy[1] == 0:
         return point if kv & 1 else INFINITY
     p, a = _law_constants(curve)
     b3 = 3 * curve.b.value.value % p
-    low = (*low, 1)
-    high = _add_xyz(low, low, p, a, b3)
+    base = (*xy, 1)
+    regs = [base, _add_xyz(base, base, p, a, b3)]
     for i in range(kv.bit_length() - 2, -1, -1):
-        if (kv >> i) & 1:
-            low = _add_xyz(low, high, p, a, b3)
-            high = _add_xyz(high, high, p, a, b3)
-        else:
-            high = _add_xyz(high, low, p, a, b3)
-            low = _add_xyz(low, low, p, a, b3)
+        bit = (kv >> i) & 1
+        regs[1 - bit] = _add_xyz(regs[0], regs[1], p, a, b3)
+        regs[bit] = _add_xyz(regs[bit], regs[bit], p, a, b3)
         if counter is not None:
             counter.adds += 1
             counter.doubles += 1
-    return _from_xyz(low, curve)
+    return _from_xyz(regs[0], curve)
 
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
@@ -80,7 +78,7 @@ def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePo
     base = _enter(point, curve)
     acc = None
     for i in range(kv.bit_length() - 1, -1, -1):
-        acc = _double_xy(acc, p, a)
+        acc = _add_xy(acc, acc, p, a)
         if (kv >> i) & 1:
             acc = _add_xy(acc, base, p, a)
     return _from_xy(acc, curve)

@@ -292,6 +292,18 @@ def test_curve_file_over_gf2_exits_2(capsys, tmp_path):
     _one_error(capsys, "p is not prime")
 
 
+def test_oversized_curve_file_exits_2(capsys, tmp_path):
+    # a valid curve padded with comment lines past the 65536-byte bound
+    path = tmp_path / "big.curve"
+    path.write_text(SMOKE17_TEXT + "# padding\n" * 7000)
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "curve file is larger than 65536 bytes")
+    # the bound counts bytes: 75000 with CRLF line ends, 50000 characters without
+    path.write_bytes((SMOKE17_TEXT + "#\n" * 25000).replace("\n", "\r\n").encode())
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "curve file is larger than 65536 bytes")
+
+
 def test_error_quoting_a_newline_stays_one_line(capsys):
     assert run(["curve-info", "--curve", "smoke17", "a\nb"]) == 1
     _one_error(capsys, "unrecognized arguments: a b")

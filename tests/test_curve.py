@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecpf.curve import (
     INFINITY,
@@ -13,15 +15,18 @@ from ecpf.curve import (
     point_add,
     point_double,
 )
-from ecpf.curve import _add_xy, _add_xyz, _double_xy
+from ecpf.curve import _add_xy, _add_xyz
 from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
-from ecpf.field import Modulus
+from ecpf.field import P192, Modulus
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import double_and_add, ladder
-from helpers import as_xy, enumerate_points, mk_point, oracle_add
+from helpers import as_xy, enumerate_points, mk_point, oracle_add, oracle_mul_binary
 
 
 SWEEP_PRIMES = (3, 5, 7, 11, 13)
+
+#: The order of the P-192 base point.
+N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +256,27 @@ def test_complete_law_fails_only_on_order_two_differences():
 def test_affine_law_sweep():
     for p, a, b, points in small_curves():
         for P in points:
-            assert _double_xy(P, p, a) == oracle_add(P, P, p, a), (p, a, b, P)
             for Q in points:
                 assert _add_xy(P, Q, p, a) == oracle_add(P, Q, p, a), (p, a, b, P, Q)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    a=st.integers(0, N192 - 1),
+    b=st.integers(0, N192 - 1),
+    lam1=st.integers(1, P192 - 1),
+    lam2=st.integers(1, P192 - 1),
+)
+@example(a=N192 // 3, b=N192 // 3, lam1=1, lam2=P192 - 1)
+@example(a=N192 // 3, b=N192 - N192 // 3, lam1=2, lam2=3)
+@example(a=0, b=N192 // 5, lam1=5, lam2=7)
+@example(a=0, b=0, lam1=1, lam2=P192 - 1)
+def test_complete_law_on_p192_multiples(p192, a, b, lam1, lam2):
+    """Exact and symmetric on random representatives of multiples of G."""
+    assert p192.n.value == N192
+    g, b3 = as_xy(p192.g), 3 * p192.b.value.value % P192
+    aG, bG = (oracle_mul_binary(k, g, P192, P192 - 3) for k in (a, b))
+    P, Q = lift(aG, lam1, P192), lift(bG, lam2, P192)
+    got = _add_xyz(P, Q, P192, P192 - 3, b3)
+    assert project(got, P192) == oracle_add(aG, bG, P192, P192 - 3)
+    assert got == _add_xyz(Q, P, P192, P192 - 3, b3)

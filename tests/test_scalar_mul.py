@@ -83,7 +83,9 @@ def test_ladder_edge_scalars_p192_other_point(p192):
     n = p192.n.value
     q_xy = oracle_mul_binary(7, as_xy(p192.g), P192, P192 - 3)
     q = mk_point(p192, q_xy)
-    for k in (0, 1, 2, n - 1, n, n + 1, 2 * n - 1, 2**191, 2**192 - 1):
+    # 0xAA...A and 0x55...5 swap the ladder's register roles at every bit.
+    alternating = (int("aa" * 24, 16), int("55" * 24, 16))
+    for k in (0, 1, 2, n - 1, n, n + 1, 2 * n - 1, 2**191, 2**192 - 1, *alternating):
         via_ladder = ladder(scalar(p192, k), q, p192)
         assert via_ladder == double_and_add(scalar(p192, k), q, p192), k
         assert as_xy(via_ladder) == oracle_mul_binary(k, q_xy, P192, P192 - 3), k
