@@ -16,7 +16,7 @@ entry, through ``_enter``, which rejects a point off the curve, and at exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContextError, DomainError, ParseError, ValidationError
 from .field import FieldElement, Modulus, inverse_mod
@@ -61,13 +61,16 @@ class CurveParams:
     g: AffinePoint
     n: MpInt
     h: MpInt
+    #: (p, a, b, 3*b mod p) as ints, derived once for the int law.
+    _law: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for coeff in (self.a, self.b):
             if coeff.modulus != self.modulus:
                 raise ContextError("curve coefficients from a different modulus")
-        # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
         p, a, b = self.modulus.p.value, self.a.value.value, self.b.value.value
+        object.__setattr__(self, "_law", (p, a, b, 3 * b % p))
+        # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
         if p == 2 or (4 * a * a * a + 27 * b * b) % p == 0:
             raise ValidationError("curve is singular")
         if self.n.value < 2:
@@ -110,20 +113,15 @@ def negate(point: AffinePoint) -> AffinePoint:
 
 def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Total addition of two points on the curve; the law is :func:`_add_xy`."""
-    p, a = _law_constants(curve)
+    p, a, _, _ = curve._law
     return _from_xy(_add_xy(_enter(p1, curve), _enter(p2, curve), p, a), curve)
 
 
 def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Total doubling of a point on the curve; the law is :func:`_add_xy`."""
-    p, a = _law_constants(curve)
+    p, a, _, _ = curve._law
     xy = _enter(point, curve)
     return _from_xy(_add_xy(xy, xy, p, a), curve)
-
-
-def _law_constants(curve: CurveParams) -> tuple[int, int]:
-    """The prime p and the coefficient a, as ints."""
-    return curve.modulus.p.value, curve.a.value.value
 
 
 def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
@@ -137,8 +135,9 @@ def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
     m = point.x.modulus
     if m is not curve.modulus and m != curve.modulus:
         raise ContextError("point and curve from different modulus contexts")
+    p, a, b, _ = curve._law
     x, y = point.x.value.value, point.y.value.value
-    if (y * y - (x * x + curve.a.value.value) * x - curve.b.value.value) % m.p.value:
+    if (y * y - (x * x + a) * x - b) % p:
         raise DomainError("point not on curve")
     return x, y
 
@@ -202,7 +201,7 @@ def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
     x, y, z = xyz
     if z == 0:
         return INFINITY
-    p = curve.modulus.p.value
+    p = curve._law[0]
     zi = inverse_mod(z, p)
     return _from_xy((x * zi % p, y * zi % p), curve)
 

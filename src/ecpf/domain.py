@@ -27,6 +27,9 @@ _REQUIRED_KEYS = ("name", "p", "a", "b", "gx", "gy", "n", "h")
 # Read as ASCII with newline="", one character is one byte.
 _MAX_CURVE_FILE = 65536  # the shipped curves are 382 and 110 bytes
 
+# Bounds the cost of Miller-Rabin on p and of the n*G ladder on load.
+_MAX_P_BITS = 1024
+
 # Fixed Miller-Rabin bases: deterministic below 3.3e24, strong evidence above.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -75,6 +78,8 @@ def parse_curve_file(text: str) -> CurveParams:
     # p sizes its own capacity; everything else lives in p's context.
     p_text = entries["p"][0]
     modulus = Modulus(numeric("p", max(4 * len(p_text), 8)))
+    if modulus.bits > _MAX_P_BITS:
+        raise ValidationError(f"p is larger than {_MAX_P_BITS} bits")
 
     def residue(key: str) -> FieldElement:
         value = numeric(key, modulus.capacity)

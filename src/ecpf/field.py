@@ -37,7 +37,7 @@ class Modulus:
 
     @property
     def capacity(self) -> int:
-        """Capacity of element values: room for one double-width product."""
+        """Capacity of values parsed in this field: scalars, seeds, n and h."""
         return capacity_for_bits(self.bits)
 
     @property
@@ -46,7 +46,7 @@ class Modulus:
         return -(-self.bits // 4)
 
     def element(self, value: int | MpInt) -> "FieldElement":
-        """Convenience constructor accepting plain integers."""
+        """The residue of any int (or ``MpInt``) modulo p, as an element."""
         if isinstance(value, MpInt):
             value = value.value
         return FieldElement(MpInt(value % self.p.value, self.capacity), self)
@@ -56,11 +56,10 @@ class FieldElement:
     """A canonical residue in [0, p) attached to its modulus context.
 
     Instances are immutable.  The arithmetic operators implement the field
-    operations: +, -, * reduce modulo p; unary - is the additive inverse;
-    ``inverse`` the multiplicative one.  Sums are normalized by a single
-    conditional subtraction of p, differences by a conditional addition of
-    p before subtracting, products by a double-width multiply followed by
-    reduction.
+    operations: +, -, * modulo p; unary - is the additive inverse;
+    ``inverse`` the multiplicative one.  Each computes its result as a
+    plain int and hands it to ``Modulus.element``, the one place where a
+    residue is reduced and wrapped.
     """
 
     __slots__ = ("_value", "_modulus")
@@ -91,38 +90,23 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        m = self._modulus
-        total = self._value.value + other._value.value
-        p = m.p.value
-        if total >= p:
-            total -= p
-        return FieldElement(MpInt(total, m.capacity), m)
+        return self._modulus.element(self._value.value + other._value.value)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        m = self._modulus
-        minuend = self._value.value
-        if minuend < other._value.value:
-            minuend += m.p.value
-        return FieldElement(MpInt(minuend - other._value.value, m.capacity), m)
+        return self._modulus.element(self._value.value - other._value.value)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        m = self._modulus
-        product = self._value.value * other._value.value
-        return FieldElement(MpInt(product % m.p.value, m.capacity), m)
+        return self._modulus.element(self._value.value * other._value.value)
 
     def __neg__(self) -> "FieldElement":
-        if self.is_zero:
-            return self
-        m = self._modulus
-        return FieldElement(MpInt(m.p.value - self._value.value, m.capacity), m)
+        return self._modulus.element(-self._value.value)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the extended Euclidean algorithm."""
         m = self._modulus
-        inv = inverse_mod(self._value.value, m.p.value)
-        return FieldElement(MpInt(inv, m.capacity), m)
+        return m.element(inverse_mod(self._value.value, m.p.value))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElement):

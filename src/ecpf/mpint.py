@@ -1,16 +1,17 @@
 """Fixed-capacity unsigned multiprecision integers.
 
-Values are immutable and bounded by a capacity chosen so that the full
-double-width product of two field-sized operands still fits (for a b-bit
-field: 2*b bits plus one limb of headroom).  The constructor raises on a
-negative value or one that exceeds the capacity, instead of wrapping.
+Values are immutable and bounded by a capacity; the constructor raises on
+a negative value or one that exceeds the capacity, instead of wrapping.
 ``MpInt`` carries values for parsing, validation and output; it has no
 arithmetic, because every layer above computes on whole ints (CPython's
-built-in integer).
+built-in integer).  So no ``MpInt`` holds a product, and the capacity
+(2*b bits plus one limb for a b-bit field) only bounds what the parsers
+accept: scalars, seeds, n and h.
 """
 
 from __future__ import annotations
 
+from functools import total_ordering
 from string import hexdigits
 
 from .errors import ParseError, RangeError
@@ -22,10 +23,11 @@ DEFAULT_CAPACITY = 2 * 192 + LIMB_BITS
 
 
 def capacity_for_bits(bits: int) -> int:
-    """Capacity able to hold a double-width product of ``bits``-bit values."""
+    """Capacity of parsed values in a ``bits``-bit field: 2*bits plus one limb."""
     return 2 * bits + LIMB_BITS
 
 
+@total_ordering
 class MpInt:
     """An unsigned integer below ``2**capacity``, in canonical form."""
 
@@ -89,16 +91,7 @@ class MpInt:
         return hash(self._value)
 
     def __lt__(self, other: "MpInt") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "MpInt") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "MpInt") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "MpInt") -> bool:
-        return self.compare(other) >= 0
+        return self._value < other._value
 
     def __int__(self) -> int:
         return self._value

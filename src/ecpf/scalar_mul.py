@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _add_xyz
-from .curve import _enter, _from_xy, _from_xyz, _law_constants
+from .curve import _enter, _from_xy, _from_xyz
 from .mpint import MpInt
 
 
@@ -57,8 +57,7 @@ def ladder(
     # The complete law fails when the registers' difference P has order 2.
     if kv == 1 or xy[1] == 0:
         return point if kv & 1 else INFINITY
-    p, a = _law_constants(curve)
-    b3 = 3 * curve.b.value.value % p
+    p, a, _, b3 = curve._law
     base = (*xy, 1)
     regs = [base, _add_xyz(base, base, p, a, b3)]
     for i in range(kv.bit_length() - 2, -1, -1):
@@ -74,7 +73,7 @@ def ladder(
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Verification oracle: double each step, add where the bit is set."""
     kv = k.value
-    p, a = _law_constants(curve)
+    p, a, _, _ = curve._law
     base = _enter(point, curve)
     acc = None
     for i in range(kv.bit_length() - 1, -1, -1):

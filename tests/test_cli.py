@@ -292,6 +292,19 @@ def test_curve_file_over_gf2_exits_2(capsys, tmp_path):
     _one_error(capsys, "p is not prime")
 
 
+def test_curve_file_with_p_over_1024_bits_exits_2(capsys, tmp_path):
+    # G = (0, 1) lies on y^2 = x^3 + x + 1 for any p; the bound comes first
+    template = "name=big\np={:x}\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n"
+    path = tmp_path / "big.curve"
+    path.write_text(template.format(3 << 1100))
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is larger than 1024 bits")
+    # a 1024-bit p is within the bound and still fails as composite
+    path.write_text(template.format(2**1024 - 1))
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is not prime")
+
+
 def test_oversized_curve_file_exits_2(capsys, tmp_path):
     # a valid curve padded with comment lines past the 65536-byte bound
     path = tmp_path / "big.curve"

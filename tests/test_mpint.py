@@ -101,3 +101,6 @@ def test_compare_agrees_with_int_ordering(a, b):
     assert xa.compare(xb) == (a > b) - (a < b)
     assert (xa >= xb) == (a >= b)
     assert (xa < xb) == (a < b)
+    assert (xa <= xb) == (a <= b)
+    assert (xa > xb) == (a > b)
+    assert (xa == xb) == (a == b)
