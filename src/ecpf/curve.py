@@ -63,6 +63,9 @@ class CurveParams:
     h: MpInt
     #: (p, a, b, 3*b mod p) as ints, derived once for the int law.
     _law: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    #: True only when ``domain.parse_curve_file`` proved the domain, #E = h*n;
+    #: ``from_ints`` and ``dataclasses.replace`` leave it False.
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for coeff in (self.a, self.b):

@@ -3,10 +3,10 @@
 A curve comes from a key=value text, either a file or one of the curves
 shipped with the package, and is validated once, on load, with checks
 from SEC 1 v2 section 3.1.1.2.1: ``CurveParams`` makes its structural checks,
-and this module adds those that need primality tests or a scalar
-multiplication.  It sits above ``scalar_mul`` so that it can run the n*G
-ladder without an import cycle.  Shipped curves are cached per process;
-curve files are read on every call, because a file can change.
+and this module adds those that need primality tests, a scalar
+multiplication or the Hasse bound.  It sits above ``scalar_mul`` so that it
+can run the n*G ladder without an import cycle.  Shipped curves are cached
+per process; curve files are read on every call, because a file can change.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ def parse_curve_file(text: str) -> CurveParams:
 
     This is the one place where curve-domain validity is decided, for
     bundled curves and curve files alike: beyond the structural checks of
-    ``CurveParams``, p and n must be probable primes and n*G must be O.
-    Together these make d*G finite for every d in [1, n-1].
+    ``CurveParams``, p and n must be probable primes, n*G must be O, n must
+    differ from p and exceed 4*sqrt(p), and h*n must lie in the Hasse
+    interval.  Together these make d*G finite for every d in [1, n-1] and
+    prove #E = h*n, which the returned curve records as ``_validated``.
     """
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -96,12 +98,22 @@ def parse_curve_file(text: str) -> CurveParams:
         n=numeric("n", modulus.capacity),
         h=numeric("h", modulus.capacity),
     )
-    if not _is_probable_prime(modulus.p.value):
+    p, n, h = modulus.p.value, params.n.value, params.h.value
+    if not _is_probable_prime(p):
         raise ValidationError("p is not prime")
-    if not _is_probable_prime(params.n.value):
+    if not _is_probable_prime(n):
         raise ValidationError("n is not prime")
     if not ladder(params.n, params.g, params).is_infinity:
         raise ValidationError("n*G is not the identity")
+    if n == p:
+        raise ValidationError("n equals p")
+    if n * n <= 16 * p:
+        raise ValidationError("n is not larger than 4*sqrt(p)")
+    if (h * n - p - 1) ** 2 > 4 * p:
+        raise ValidationError("h*n is outside the Hasse interval")
+    # These imply SEC 1's h = floor((sqrt(p)+1)**2/n): h*n <= p+1+2sqrt(p) < (h+1)*n.
+    # And n | #E (n*G = O), so #E = h*n: a Hasse interval, 4sqrt(p) < n long, has one.
+    object.__setattr__(params, "_validated", True)
     return params
 
 

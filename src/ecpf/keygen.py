@@ -78,9 +78,18 @@ def generate_keypair(
 
 
 def validate_public_key(q: AffinePoint, curve: CurveParams) -> bool:
-    """True iff Q is finite, on the curve, and killed by the group order."""
+    """True iff Q is finite, on the curve, and killed by the group order.
+
+    On a curve that passed ``domain.parse_curve_file`` with h = 1, #E = n,
+    so every finite point on it has order n and the n*Q ladder is skipped.
+    That rests on p and n being prime, which the validator decides with
+    Miller-Rabin on 12 fixed bases: a proof below 3.3e24, strong evidence
+    above.  The curve is trusted input; Q is the untrusted one.
+    """
     if q.is_infinity:
         return False
     if not on_curve(q, curve):
         return False
+    if curve._validated and curve.h.value == 1:
+        return True
     return ladder(curve.n, q, curve).is_infinity

@@ -320,3 +320,31 @@ def test_oversized_curve_file_exits_2(capsys, tmp_path):
 def test_error_quoting_a_newline_stays_one_line(capsys):
     assert run(["curve-info", "--curve", "smoke17", "a\nb"]) == 1
     _one_error(capsys, "unrecognized arguments: a b")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # smoke17's group has 19 points: neither 0*19 nor 2*19 is in [10, 26]
+        (SMOKE17_TEXT.replace("h=01", "h=00"), "h*n is outside the Hasse interval"),
+        (SMOKE17_TEXT.replace("h=01", "h=02"), "h*n is outside the Hasse interval"),
+        # y^2 = x^3 + x + 3 over GF(17) has 17 points: an anomalous curve
+        ("name=anom\np=11\na=01\nb=03\ngx=02\ngy=08\nn=11\nh=01\n", "n equals p"),
+        # y^2 = x^3 + 1 over GF(17): (0, 1) has order 3 in a group of 18
+        (
+            "name=small\np=11\na=00\nb=01\ngx=00\ngy=01\nn=03\nh=06\n",
+            "n is not larger than 4*sqrt(p)",
+        ),
+    ],
+    ids=["h0", "h2", "anomalous", "small-n"],
+)
+def test_curve_file_failing_an_order_check_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.curve"
+    path.write_text(text)
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, message)
+
+
+def test_bundled_curves_pass_the_order_checks():
+    for name in ("smoke17", "p192"):
+        assert bundled_curve(name)._validated

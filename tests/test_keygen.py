@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
+import ecpf.keygen
 from ecpf.curve import INFINITY, CurveParams, negate
+from ecpf.domain import parse_curve_file
 from ecpf.errors import RandomnessError, RangeError
 from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
-from helpers import as_xy, mk_point, oracle_mul_repeated, scalar
+from ecpf.scalar_mul import ladder
+from helpers import as_xy, enumerate_points, mk_point, oracle_mul_repeated, scalar
 
 
 def test_random_scalar_deterministic_examples(smoke17):
@@ -140,3 +144,66 @@ def test_sparse_sample_scalar_is_a_valid_key(p192):
     pair = generate_keypair(p192, seed=k - 1)  # (k-1) mod (n-1) + 1 == k
     assert pair.d.value == k
     assert validate_public_key(pair.q, p192)
+
+
+def _ladder_calls(monkeypatch, q, curve):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return ladder(*args)
+
+    monkeypatch.setattr(ecpf.keygen, "ladder", counting)
+    assert validate_public_key(q, curve)
+    monkeypatch.undo()
+    return calls
+
+
+def test_validate_public_key_skips_the_ladder_on_validated_prime_order_curves(
+    monkeypatch, smoke17, p192
+):
+    for curve in (smoke17, p192):
+        assert _ladder_calls(monkeypatch, curve.g, curve) == 0
+
+
+def test_validate_public_key_keeps_the_ladder_on_unvalidated_curves(
+    monkeypatch, smoke17, p192
+):
+    # the same parameters, but built outside the validator or copied from it
+    rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
+    assert rebuilt == smoke17
+    copy = dataclasses.replace(p192, name="copy")
+    for curve in (rebuilt, copy):
+        assert _ladder_calls(monkeypatch, curve.g, curve) == 1
+
+
+# Curve files that pass the validator, with their point counts #E = h*n:
+# four of prime order (h = 1), two with h = 2 and one with h = 3.
+SWEEP_CURVES = [
+    ("name=smoke17\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n", 19),
+    ("name=e23\np=17\na=01\nb=04\ngx=00\ngy=02\nn=1d\nh=01\n", 29),
+    ("name=e31\np=1f\na=00\nb=03\ngx=01\ngy=02\nn=2b\nh=01\n", 43),
+    ("name=e53\np=35\na=01\nb=08\ngx=01\ngy=0d\nn=3d\nh=01\n", 61),
+    ("name=h2\np=2f\na=01\nb=0b\ngx=07\ngy=13\nn=1d\nh=02\n", 58),
+    ("name=h2b\np=35\na=05\nb=01\ngx=2e\ngy=2b\nn=1f\nh=02\n", 62),
+    ("name=h3\np=97\na=01\nb=13\ngx=14\ngy=91\nn=35\nh=03\n", 159),
+]
+
+
+@pytest.mark.parametrize(
+    "text, order", SWEEP_CURVES, ids=[text.split("\n")[0][5:] for text, _ in SWEEP_CURVES]
+)
+def test_validate_public_key_agrees_with_the_order_ladder(text, order):
+    curve = parse_curve_file(text)
+    p, a, b = curve._law[:3]
+    points = enumerate_points(p, a, b)
+    assert len(points) == order == curve.h.value * curve.n.value
+    valid = 0
+    for xy in points:
+        q = mk_point(curve, xy)
+        expected = not q.is_infinity and ladder(curve.n, q, curve).is_infinity
+        assert validate_public_key(q, curve) == expected
+        valid += expected
+    # the points of order n: all finite ones when h = 1
+    assert valid == curve.n.value - 1
