@@ -45,13 +45,12 @@ class Modulus:
         """Fixed hex-digit width of serialized elements."""
         return -(-self.bits // 4)
 
-    def element(self, value: int | MpInt) -> "FieldElement":
-        """The residue of any int (or ``MpInt``) modulo p, as an element."""
-        if isinstance(value, MpInt):
-            value = value.value
+    def element(self, value: int) -> "FieldElement":
+        """The residue of any int modulo p, as an element."""
         return FieldElement(MpInt(value % self.p.value, self.capacity), self)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """A canonical residue in [0, p) attached to its modulus context.
 
@@ -62,64 +61,44 @@ class FieldElement:
     residue is reduced and wrapped.
     """
 
-    __slots__ = ("_value", "_modulus")
+    value: MpInt
+    modulus: Modulus
 
-    def __init__(self, value: MpInt, modulus: Modulus):
-        if value.value >= modulus.p.value:
-            raise RangeError(
-                f"residue {value.value} not canonical below {modulus.p.value}"
-            )
-        self._value = value
-        self._modulus = modulus
-
-    @property
-    def value(self) -> MpInt:
-        return self._value
-
-    @property
-    def modulus(self) -> Modulus:
-        return self._modulus
+    def __post_init__(self):
+        value, p = self.value.value, self.modulus.p.value
+        if value >= p:
+            raise RangeError(f"residue {value} not canonical below {p}")
 
     @property
     def is_zero(self) -> bool:
-        return self._value.value == 0
+        return self.value.value == 0
 
     def _require_same(self, other: "FieldElement") -> None:
-        if self._modulus is not other._modulus and self._modulus != other._modulus:
+        if self.modulus is not other.modulus and self.modulus != other.modulus:
             raise ContextError("operands belong to different modulus contexts")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        return self._modulus.element(self._value.value + other._value.value)
+        return self.modulus.element(self.value.value + other.value.value)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        return self._modulus.element(self._value.value - other._value.value)
+        return self.modulus.element(self.value.value - other.value.value)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._require_same(other)
-        return self._modulus.element(self._value.value * other._value.value)
+        return self.modulus.element(self.value.value * other.value.value)
 
     def __neg__(self) -> "FieldElement":
-        return self._modulus.element(-self._value.value)
+        return self.modulus.element(-self.value.value)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the extended Euclidean algorithm."""
-        m = self._modulus
-        return m.element(inverse_mod(self._value.value, m.p.value))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self._value.value == other._value.value and (
-            self._modulus is other._modulus or self._modulus == other._modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._value.value, self._modulus.p.value))
+        m = self.modulus
+        return m.element(inverse_mod(self.value.value, m.p.value))
 
     def __repr__(self) -> str:
-        return f"FieldElement({self._value.value} mod {self._modulus.p.value})"
+        return f"FieldElement({self.value.value} mod {self.modulus.p.value})"
 
 
 def inverse_mod(value: int, p: int) -> int:

@@ -13,7 +13,7 @@ import secrets
 from dataclasses import dataclass
 
 from .curve import AffinePoint, CurveParams, on_curve
-from .errors import RandomnessError, RangeError
+from .errors import RandomnessError, RangeError, ValidationError
 from .mpint import MpInt
 from .scalar_mul import ladder
 
@@ -71,9 +71,11 @@ def random_scalar(n: MpInt, *, seed: int | MpInt | None = None, randbits=None) -
 def generate_keypair(
     curve: CurveParams, *, seed: int | MpInt | None = None, randbits=None
 ) -> KeyPair:
-    """Generate d and derive Q = d*G on the given curve."""
+    """Generate d and derive Q = d*G; ``ValidationError`` if Q is O."""
     d = random_scalar(curve.n, seed=seed, randbits=randbits)
     q = ladder(d, curve.g, curve)
+    if q.is_infinity:
+        raise ValidationError("d*G is the identity, so n is not the order of G")
     return KeyPair(d=d, q=q, curve_name=curve.name)
 
 

@@ -11,7 +11,7 @@ accept: scalars, seeds, n and h.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from dataclasses import dataclass, field
 from string import hexdigits
 
 from .errors import ParseError, RangeError
@@ -27,13 +27,18 @@ def capacity_for_bits(bits: int) -> int:
     return 2 * bits + LIMB_BITS
 
 
-@total_ordering
+@dataclass(frozen=True, order=True, slots=True)
 class MpInt:
-    """An unsigned integer below ``2**capacity``, in canonical form."""
+    """An unsigned integer below ``2**capacity``, in canonical form.
 
-    __slots__ = ("_value", "_capacity")
+    Equality, hashing and ordering see the value only, never the capacity.
+    """
 
-    def __init__(self, value: int, capacity: int = DEFAULT_CAPACITY):
+    value: int
+    capacity: int = field(default=DEFAULT_CAPACITY, compare=False)
+
+    def __post_init__(self):
+        value, capacity = self.value, self.capacity
         if capacity < 1:
             raise RangeError(f"capacity must be positive, got {capacity}")
         if value < 0:
@@ -42,8 +47,6 @@ class MpInt:
             raise RangeError(
                 f"value of {value.bit_length()} bits exceeds capacity {capacity}"
             )
-        self._value = value
-        self._capacity = capacity
 
     @classmethod
     def from_hex(cls, text: str, capacity: int = DEFAULT_CAPACITY) -> "MpInt":
@@ -55,49 +58,30 @@ class MpInt:
                 raise ParseError(f"invalid hex character {ch!r}")
         return cls(int(text, 16), capacity)
 
-    @property
-    def value(self) -> int:
-        return self._value
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def to_hex(self, width: int) -> str:
         """Lowercase big-endian hex, left-padded with zeros to ``width`` digits."""
-        digits = max(1, -(-self._value.bit_length() // 4))
+        digits = max(1, -(-self.value.bit_length() // 4))
         if width < digits:
             raise RangeError(f"width {width} below {digits} significant digits")
-        return format(self._value, f"0{width}x")
+        return format(self.value, f"0{width}x")
 
     def bit_length(self) -> int:
         """Index of the highest set bit plus one; 0 for the value 0."""
-        return self._value.bit_length()
+        return self.value.bit_length()
 
     def compare(self, other: "MpInt") -> int:
         """-1, 0, or 1 as self is less than, equal to, or greater than other."""
-        if self._value < other._value:
+        if self.value < other.value:
             return -1
-        if self._value > other._value:
+        if self.value > other.value:
             return 1
         return 0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MpInt):
-            return NotImplemented
-        return self._value == other._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __lt__(self, other: "MpInt") -> bool:
-        return self._value < other._value
-
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __bool__(self) -> bool:
-        return self._value != 0
+        return self.value != 0
 
     def __repr__(self) -> str:
-        return f"MpInt(0x{self._value:x}, capacity={self._capacity})"
+        return f"MpInt(0x{self.value:x}, capacity={self.capacity})"

@@ -261,6 +261,13 @@ def test_curve_file_with_composite_order_exits_2(capsys, tmp_path):
     path.write_text(SMOKE17_TEXT.replace("n=13", "n=26"))
     assert run(["keygen", "--curve-file", str(path), "--seed", "12"]) == 2
     _one_error(capsys, "n is not prime")
+    # Composites without a factor up to 37, so a Miller-Rabin witness rejects
+    # them: 0x6e3 = 1763 = 41*43, and 0x351591274f9af9fb passes every base
+    # up to 31 (only base 37 rejects it).
+    for n in ("6e3", "351591274f9af9fb"):
+        path.write_text(SMOKE17_TEXT.replace("n=13", f"n={n}"))
+        assert run(["keygen", "--curve-file", str(path), "--seed", "12"]) == 2
+        _one_error(capsys, "n is not prime")
 
 
 def test_curve_file_with_wrong_prime_order_exits_2(capsys, tmp_path):
@@ -277,6 +284,11 @@ def test_curve_file_with_composite_field_exits_2(capsys, tmp_path):
     # G = (0, 1) lies on y^2 = x^3 + x + 1 over Z/9, which is not a field
     path = tmp_path / "bad.curve"
     path.write_text("name=z9\np=09\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is not prime")
+    # 0xbfa17dc7 = 3215031751 = 151*751*28351, a strong pseudoprime to
+    # bases 2, 3, 5 and 7
+    path.write_text("name=spsp\np=bfa17dc7\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n")
     assert run(["curve-info", "--curve-file", str(path)]) == 2
     _one_error(capsys, "p is not prime")
 

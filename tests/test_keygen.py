@@ -6,7 +6,7 @@ import pytest
 import ecpf.keygen
 from ecpf.curve import INFINITY, CurveParams, negate
 from ecpf.domain import parse_curve_file
-from ecpf.errors import RandomnessError, RangeError
+from ecpf.errors import RandomnessError, RangeError, ValidationError
 from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import ladder
@@ -92,6 +92,14 @@ def test_seeds_walk_the_multiples_table(smoke17):
         assert pair.d.value == seed + 1
         assert as_xy(pair.q) == oracle_mul_repeated(seed + 1, (5, 1), 17, 2)
         assert validate_public_key(pair.q, smoke17)
+
+
+def test_generate_keypair_rejects_the_identity():
+    # G = (5, 1) has order 19; a wrong n = 38 lets seed 18 draw d = 19, so d*G = O.
+    wrong_n = CurveParams.from_ints("x", 17, 2, 2, 5, 1, 38, 1)
+    with pytest.raises(ValidationError):
+        generate_keypair(wrong_n, seed=18)
+    assert generate_keypair(wrong_n, seed=17).d.value == 18
 
 
 def test_serialization_format(smoke17):
