@@ -12,10 +12,11 @@ import sys
 
 from .curve import AffinePoint, CurveParams, format_point, negate, parse_point
 from .curve import _enter, point_add, point_double
+from .domain import BUNDLED_CURVES, bundled_curve, format_curve_file, load_curve_file
 
 # parse_curve_file is not called here: tests and the ("ecpf.cli", ...)
 # wrappers of perfbench/tracing.py reach the loaders through this module.
-from .domain import BUNDLED_CURVES, bundled_curve, load_curve_file, parse_curve_file
+from .domain import parse_curve_file
 from .errors import Error, RandomnessError, UsageError
 from .keygen import generate_keypair
 from .mpint import MpInt
@@ -81,24 +82,6 @@ def _point_argument(text: str, curve: CurveParams) -> AffinePoint:
     return parse_point(text, curve)
 
 
-def _curve_info_lines(curve: CurveParams) -> list[str]:
-    width = curve.modulus.hex_width
-
-    def hexed(x: MpInt) -> str:
-        return x.to_hex(max(width, -(-x.bit_length() // 4)))
-
-    return [
-        f"name={curve.name}",
-        f"p={curve.modulus.p.to_hex(width)}",
-        f"a={curve.a.value.to_hex(width)}",
-        f"b={curve.b.value.to_hex(width)}",
-        f"gx={curve.g.x.value.to_hex(width)}",
-        f"gy={curve.g.y.value.to_hex(width)}",
-        f"n={hexed(curve.n)}",
-        f"h={hexed(curve.h)}",
-    ]
-
-
 def _dispatch(args) -> list[str]:
     curve = _resolve_curve(args)
     command = args.command
@@ -134,7 +117,7 @@ def _dispatch(args) -> list[str]:
             _enter(_point_argument(args.point, curve), curve)
         return ["ok"]
 
-    return _curve_info_lines(curve)
+    return format_curve_file(curve).splitlines()
 
 
 def run(argv: list[str]) -> int:

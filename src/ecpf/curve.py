@@ -210,11 +210,11 @@ def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
 
 
 def format_point(point: AffinePoint, curve: CurveParams) -> str:
-    """Serialize as "x,y" at the curve's fixed hex width, or "infinity"."""
+    """Serialize as "x,y" in ``Modulus.hex`` (field width), or "infinity"."""
     if point.is_infinity:
         return "infinity"
-    width = curve.modulus.hex_width
-    return f"{point.x.value.to_hex(width)},{point.y.value.to_hex(width)}"
+    m = curve.modulus
+    return f"{m.hex(point.x.value)},{m.hex(point.y.value)}"
 
 
 def parse_point(text: str, curve: CurveParams) -> AffinePoint:

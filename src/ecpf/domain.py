@@ -7,6 +7,7 @@ and this module adds those that need primality tests, a scalar
 multiplication or the Hasse bound.  It sits above ``scalar_mul`` so that it
 can run the n*G ladder without an import cycle.  Shipped curves are cached
 per process; curve files are read on every call, because a file can change.
+``format_curve_file`` writes the same format back.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ _MAX_CURVE_FILE = 65536  # the shipped curves are 382 and 110 bytes
 # Bounds the cost of Miller-Rabin on p and of the n*G ladder on load.
 _MAX_P_BITS = 1024
 
-# Fixed Miller-Rabin bases: deterministic below 3.3e24, strong evidence above.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Fixed Miller-Rabin bases: deterministic below 3.3e24 (psi_13), strong evidence above.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def parse_curve_file(text: str) -> CurveParams:
@@ -115,6 +116,14 @@ def parse_curve_file(text: str) -> CurveParams:
     # And n | #E (n*G = O), so #E = h*n: a Hasse interval, 4sqrt(p) < n long, has one.
     object.__setattr__(params, "_validated", True)
     return params
+
+
+def format_curve_file(curve: CurveParams) -> str:
+    """Inverse of ``parse_curve_file``: each key in order, ints in ``Modulus.hex``."""
+    m, g = curve.modulus, curve.g
+    ints = (m.p, curve.a.value, curve.b.value, g.x.value, g.y.value, curve.n, curve.h)
+    values = (curve.name, *map(m.hex, ints))
+    return "".join(f"{k}={v}\n" for k, v in zip(_REQUIRED_KEYS, values, strict=True))
 
 
 def load_curve_file(path: str) -> CurveParams:

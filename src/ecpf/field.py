@@ -45,6 +45,10 @@ class Modulus:
         """Fixed hex-digit width of serialized elements."""
         return -(-self.bits // 4)
 
+    def hex(self, value: MpInt) -> str:
+        """Lowercase hex, zero-padded to at least ``hex_width`` digits, never cut."""
+        return format(value.value, f"0{self.hex_width}x")
+
     def element(self, value: int) -> "FieldElement":
         """The residue of any int modulo p, as an element."""
         return FieldElement(MpInt(value % self.p.value, self.capacity), self)

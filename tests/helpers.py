@@ -7,6 +7,10 @@ under test, so disagreements localize bugs on the library side.
 from ecpf.curve import INFINITY, AffinePoint
 from ecpf.mpint import MpInt
 
+# y^2 = x^3 + 2x + 4 over GF(11): 17 points, so n = 0x11 has more hex
+# digits than p = 0xb, and keys d >= 16 print wider than the field.
+T11_TEXT = "name=t11\np=0b\na=2\nb=4\ngx=0\ngy=2\nn=11\nh=1\n"
+
 
 def oracle_add(P, Q, p, a):
     """Textbook affine chord-and-tangent addition; None is the identity."""

@@ -8,7 +8,9 @@ import pytest
 import ecpf
 from ecpf.cli import bundled_curve, load_curve_file, parse_curve_file, run
 from ecpf.curve import parse_point
+from ecpf.domain import format_curve_file
 from ecpf.errors import FormatError, ParseError, UsageError, ValidationError
+from helpers import T11_TEXT
 
 SMOKE17_TEXT = """\
 # comment line
@@ -105,6 +107,21 @@ def test_keygen_seeded(capsys):
     assert out.err == ""
 
 
+def test_keygen_wider_than_the_field(capsys, tmp_path):
+    # On t11, d = 16 needs two hex digits in a one-digit field.
+    path = tmp_path / "t11.curve"
+    path.write_text(T11_TEXT)
+    for seed in ("0f", "1f"):
+        assert run(["keygen", "--curve-file", str(path), "--seed", seed]) == 0
+        out = capsys.readouterr()
+        assert out.out == "private=10\npublic=0,9\n"
+        assert out.err == ""
+    for seed in range(0x40):
+        assert run(["keygen", "--curve-file", str(path), "--seed", f"{seed:x}"]) == 0
+        private = capsys.readouterr().out.splitlines()[0].removeprefix("private=")
+        assert int(private, 16) == seed % 16 + 1
+
+
 def test_keygen_deterministic_across_runs(capsys):
     run(["keygen", "--curve", "smoke17", "--seed", "05"])
     first = capsys.readouterr().out
@@ -180,11 +197,18 @@ def test_check_curve_mode_rejects_composite_order(capsys, tmp_path):
     assert "n is not prime" in capsys.readouterr().err
 
 
-def test_curve_info_round_trips(capsys, smoke17):
-    assert run(["curve-info", "--curve", "smoke17"]) == 0
-    text = capsys.readouterr().out
-    reparsed = parse_curve_file(text)
-    assert reparsed == smoke17
+def test_curve_info_round_trips(capsys, tmp_path, smoke17, p192, t11):
+    path = tmp_path / "t11.curve"
+    path.write_text(T11_TEXT)
+    for source, curve in (
+        (["--curve", "smoke17"], smoke17),
+        (["--curve", "p192"], p192),
+        (["--curve-file", str(path)], t11),  # n has more hex digits than p
+    ):
+        assert run(["curve-info", *source]) == 0
+        text = capsys.readouterr().out
+        assert text == format_curve_file(curve)
+        assert parse_curve_file(text) == curve
 
 
 def test_curve_info_p192(capsys):
@@ -289,6 +313,13 @@ def test_curve_file_with_composite_field_exits_2(capsys, tmp_path):
     # 0xbfa17dc7 = 3215031751 = 151*751*28351, a strong pseudoprime to
     # bases 2, 3, 5 and 7
     path.write_text("name=spsp\np=bfa17dc7\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n")
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, "p is not prime")
+    # 0x437ae92817f9fc85b7e5 = 399165290221*798330580441 (psi_12), a strong
+    # pseudoprime to every base up to 37
+    path.write_text(
+        "name=psi12\np=437ae92817f9fc85b7e5\na=01\nb=01\ngx=00\ngy=01\nn=13\nh=01\n"
+    )
     assert run(["curve-info", "--curve-file", str(path)]) == 2
     _one_error(capsys, "p is not prime")
 

@@ -27,6 +27,17 @@ def test_modulus_caches_bits():
     assert FP192.hex_width == 48
 
 
+def test_hex_pads_to_the_field_width():
+    assert F17.hex(MpInt(3)) == "03"
+    assert FP192.hex(MpInt(1)) == "0" * 47 + "1"
+
+
+def test_hex_never_cuts_short():
+    f11 = Modulus.from_int(11)
+    assert f11.hex_width == 1
+    assert f11.hex(MpInt(16)) == "10"
+
+
 def test_element_must_be_canonical():
     with pytest.raises(RangeError):
         FieldElement(MpInt(17), F17)

@@ -102,9 +102,11 @@ def test_generate_keypair_rejects_the_identity():
     assert generate_keypair(wrong_n, seed=17).d.value == 18
 
 
-def test_serialization_format(smoke17):
+def test_serialization_format(smoke17, t11):
     pair = generate_keypair(smoke17, seed=9)
     assert pair.serialize() == "private=0a\npublic=07,0b"
+    # d = 16 on t11 takes two hex digits; the field's width is one
+    assert generate_keypair(t11, seed=15).serialize() == "private=10\npublic=0,9"
 
 
 def test_serialization_reproducible(smoke17, p192):
