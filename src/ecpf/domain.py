@@ -16,7 +16,7 @@ from functools import cache
 from importlib import resources
 
 from .curve import AffinePoint, CurveParams
-from .errors import FormatError, ParseError, UsageError, ValidationError
+from .errors import FormatError, ParseError, RangeError, UsageError, ValidationError
 from .field import FieldElement, Modulus
 from .mpint import MpInt
 from .scalar_mul import ladder
@@ -75,8 +75,8 @@ def parse_curve_file(text: str) -> CurveParams:
         value, lineno = entries[key]
         try:
             return MpInt.from_hex(value, capacity)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {key}: {exc}") from None
+        except (ParseError, RangeError) as exc:  # bad hex, or past the capacity
+            raise type(exc)(f"line {lineno}: {key}: {exc}") from None
 
     # p sizes its own capacity; everything else lives in p's context.
     p_text = entries["p"][0]

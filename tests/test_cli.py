@@ -9,7 +9,7 @@ import ecpf
 from ecpf.cli import bundled_curve, load_curve_file, parse_curve_file, run
 from ecpf.curve import parse_point
 from ecpf.domain import format_curve_file
-from ecpf.errors import FormatError, ParseError, UsageError, ValidationError
+from ecpf.errors import FormatError, ParseError, RangeError, UsageError, ValidationError
 from helpers import T11_TEXT
 
 SMOKE17_TEXT = """\
@@ -59,9 +59,11 @@ def test_parse_curve_file_not_key_value():
 
 
 def test_parse_curve_file_bad_hex_reports_line():
-    text = SMOKE17_TEXT.replace("n=13", "n=1g")
-    with pytest.raises(ParseError, match=r"line 9: n"):
-        parse_curve_file(text)
+    # Bad hex, and hex past the capacity of p's context.
+    for value, error in (("1g", ParseError), ("f" * 40, RangeError)):
+        text = SMOKE17_TEXT.replace("n=13", f"n={value}")
+        with pytest.raises(error, match=r"line 9: n"):
+            parse_curve_file(text)
 
 
 def test_parse_curve_file_off_curve_base_point():
@@ -259,6 +261,41 @@ def test_entropy_failure_exits_3(capsys, monkeypatch):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "keygen" in capsys.readouterr().out
+
+
+XY = "X,Y|gen|infinity"
+COMMAND_OPTIONS = {  # command: [(flag, metavar, required)]
+    "keygen": [("--seed", "HEX", False)],
+    "mul": [("--scalar", "HEX", True), ("--point", XY, True)],
+    "add": [("--p1", XY, True), ("--p2", XY, True)],
+    "double": [("--point", XY, True)],
+    "negate": [("--point", XY, True)],
+    "check": [("--point", XY, False)],
+    "curve-info": [],
+}
+
+
+def test_command_help_and_required_options(capsys):
+    # Substrings, not golden text: argparse wraps help differently by version.
+    good = {"HEX": "02", XY: "gen"}
+    for command, options in COMMAND_OPTIONS.items():
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--curve {p192,smoke17}" in out and "--curve-file PATH" in out
+        for flag, metavar, _ in options:
+            assert f"{flag} {metavar}" in out
+        for flag, _, required in options:
+            if not required:
+                continue
+            argv = [command, "--curve", "smoke17"]
+            for other, metavar, _ in options:
+                if other != flag:
+                    argv += [other, good[metavar]]
+            assert run(argv) == 1
+            error = f"error: the following arguments are required: {flag}\n"
+            assert capsys.readouterr().err == error
+    assert run(["keygen", "--help"]) == 0
+    assert "deterministic test seed" in capsys.readouterr().out
 
 
 def test_module_entry_point():

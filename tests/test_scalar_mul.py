@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from ecpf.curve import INFINITY, CurveParams, negate, point_add, point_double
+import ecpf.scalar_mul
+from ecpf.curve import INFINITY, CurveParams, _add_xyz, negate, point_add, point_double
 from ecpf.errors import DomainError
 from ecpf.field import P192, inverse_mod
 from ecpf.scalar_mul import OpCounter, double_and_add, ladder
@@ -150,6 +151,28 @@ def test_ladder_counter_untouched_for_degenerate_scalars(smoke17):
         counter = OpCounter()
         ladder(scalar(smoke17, k), g, smoke17, counter=counter)
         assert counter.adds == 0 and counter.doubles == 0
+
+
+def test_ladder_formula_calls_are_uniform(smoke17, monkeypatch):
+    # Counts the formula itself, which OpCounter's per-iteration count cannot
+    # see: the setup doubling, then one addition and one doubling per bit.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _add_xyz(*args)
+
+    monkeypatch.setattr(ecpf.scalar_mul, "_add_xyz", counted)
+    g = mk_point(smoke17, (5, 1))
+    for k in range(1 << 10):
+        calls.clear()
+        ladder(scalar(smoke17, k), g, smoke17)
+        assert len(calls) == (2 * (k.bit_length() - 1) + 1 if k >= 2 else 0), k
+    tiny = CurveParams.from_ints("tiny5", 5, 4, 0, 0, 0, 2, 4)  # G has order 2
+    calls.clear()
+    for k in range(8):
+        ladder(scalar(tiny, k), tiny.g, tiny)
+    assert calls == []
 
 
 def test_linearity_small_curve(smoke17):
