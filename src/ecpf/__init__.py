@@ -1,8 +1,8 @@
 """Elliptic-curve key generation over prime fields GF(p).
 
 Layers, bottom up: fixed-capacity integers (``mpint``), GF(p) arithmetic
-(``field``), affine and complete projective group laws (``curve``), a
-Montgomery ladder on the projective law with an affine double-and-add
+(``field``), Jacobian and complete projective group laws (``curve``), a
+Montgomery ladder on the projective law with a Jacobian double-and-add
 oracle (``scalar_mul``), curve loading and domain validation (``domain``),
 keypair generation (``keygen``) and a batch CLI (``cli``).
 Every value is immutable after construction and safe to share across threads.

@@ -66,16 +66,20 @@ def _dispatch(args) -> list[str]:
         curve = bundled_curve(args.curve)
     else:
         curve = load_curve_file(args.curve_file)
-    # After the curve, in table order: the first bad value is the one reported.
+    # After the curve, in table order: the first bad value is the one reported,
+    # prefixed with its flag.
     values = []
     for flag, metavar, _, _ in _COMMANDS[args.command][1]:
         text = getattr(args, flag[2:])
-        if text is None:
-            values.append(None)
-        elif metavar == "HEX":
-            values.append(MpInt.from_hex(text, curve.modulus.capacity))
-        else:
-            values.append(curve.g if text == "gen" else parse_point(text, curve))
+        try:
+            if text is None:
+                values.append(None)
+            elif metavar == "HEX":
+                values.append(MpInt.from_hex(text, curve.modulus.capacity))
+            else:
+                values.append(curve.g if text == "gen" else parse_point(text, curve))
+        except Error as exc:
+            raise type(exc)(f"{flag}: {exc}") from None
     command = args.command
     if command == "keygen":
         return generate_keypair(curve, seed=values[0]).serialize().splitlines()

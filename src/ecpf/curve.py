@@ -5,13 +5,16 @@ total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written twice on plain-int residues, each a single function that
-adds and doubles: affine, ``_add_xy`` on (x, y) pairs with None for O, one
-inversion per operation; complete projective, ``_add_xyz`` on (X:Y:Z)
-triples with O as (0:1:0), which the ladder runs and inverts once, in
-``_from_xyz``.  ``AffinePoint`` with ``FieldElement`` coordinates and
-``MpInt`` values stay the public types: each operation converts only at
-entry, through ``_enter``, which rejects a point off the curve, and at exit.
+The law is written twice on plain-int residues, each inverting once, at
+exit, in ``_from_xyz``.  Jacobian, on (X:Y:Z) = (X/Z**2, Y/Z**3) with O as
+Z = 0: ``_double_jac`` and ``_add_jac``, a mixed addition of an affine point
+that dispatches O, equal points and inverse points; ``point_add``,
+``point_double`` and ``double_and_add`` run it.  Complete projective,
+``_add_xyz`` on (X:Y:Z) = (X/Z, Y/Z) with O as (0:1:0), one function that
+adds and doubles; the ladder runs it.  ``AffinePoint`` with
+``FieldElement`` coordinates and ``MpInt`` values stay the public types:
+each operation converts only at entry, through ``_enter``, which rejects a
+point off the curve, and at exit.
 """
 
 from __future__ import annotations
@@ -115,16 +118,15 @@ def negate(point: AffinePoint) -> AffinePoint:
 
 
 def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoint:
-    """Total addition of two points on the curve; the law is :func:`_add_xy`."""
+    """Total addition of two points on the curve; the law is :func:`_add_jac`."""
     p, a, _, _ = curve._law
-    return _from_xy(_add_xy(_enter(p1, curve), _enter(p2, curve), p, a), curve)
+    return _from_jac(_add_jac(_lift(_enter(p1, curve)), _enter(p2, curve), p, a), curve)
 
 
 def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
-    """Total doubling of a point on the curve; the law is :func:`_add_xy`."""
+    """Total doubling of a point on the curve; the law is :func:`_double_jac`."""
     p, a, _, _ = curve._law
-    xy = _enter(point, curve)
-    return _from_xy(_add_xy(xy, xy, p, a), curve)
+    return _from_jac(_double_jac(_lift(_enter(point, curve)), p, a), curve)
 
 
 def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
@@ -145,37 +147,56 @@ def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
     return x, y
 
 
-def _from_xy(xy: tuple[int, int] | None, curve: CurveParams) -> AffinePoint:
-    if xy is None:
-        return INFINITY
-    m = curve.modulus
-    return AffinePoint(m.element(xy[0]), m.element(xy[1]))
+def _lift(xy: tuple[int, int] | None) -> tuple[int, int, int]:
+    """The Jacobian triple (x : y : 1) of an affine point, (1 : 1 : 0) for O."""
+    return (1, 1, 0) if xy is None else (*xy, 1)
 
 
-def _add_xy(p1, p2, p: int, a: int):
-    """Affine addition, which doubles too (p1 = p2).
+def _double_jac(p1, p: int, a: int):
+    """Jacobian doubling for general a; 3M + 6S + 1m_a.
 
-    O is the identity.  Points with x1 = x2 sum to O when y1 = -y2 (a
-    vertical line, which also covers doubling a point with y = 0);
-    otherwise they are equal and the slope is the tangent's,
-    s = (3*x1**2 + a)/(2*y1).  Points with x1 != x2 take the chord's,
-    s = (y2 - y1)/(x2 - x1).  Either way x3 = s**2 - x1 - x2 and
-    y3 = s*(x1 - x3) - y1.
+    Z3 = 2*Y1*Z1 is 0, which is O, for O and for a point with y = 0.
     """
-    if p1 is None:
-        return p2
-    if p2 is None:
+    x1, y1, z1 = p1
+    yy = y1 * y1 % p
+    s = 4 * x1 * yy % p
+    zz = z1 * z1 % p
+    m = (3 * x1 * x1 + a * (zz * zz % p)) % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y1 * z1 % p
+
+
+def _add_jac(p1, xy, p: int, a: int):
+    """Mixed addition of Jacobian p1 and affine xy (None for O); 8M + 3S.
+
+    Guide to Elliptic Curve Cryptography, Hankerson, Menezes, Vanstone,
+    Alg. 3.22.  O on either side is the identity; with H = x2*Z1**2 - X1
+    and r = y2*Z1**3 - Y1, H = 0 means equal x: equal points (r = 0) go to
+    :func:`_double_jac`, inverse points sum to O.
+    """
+    if xy is None:
         return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        s = (3 * x1 * x1 + a) * inverse_mod(2 * y1 % p, p) % p
-    else:
-        s = (y2 - y1) * inverse_mod((x2 - x1) % p, p) % p
-    x3 = (s * s - x1 - x2) % p
-    return x3, (s * (x1 - x3) - y1) % p
+    x1, y1, z1 = p1
+    if z1 == 0:
+        return _lift(xy)
+    x2, y2 = xy
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * zz * z1 - y1) % p
+    if h == 0:
+        return _double_jac(p1, p, a) if r == 0 else (1, 1, 0)
+    hh = h * h % p
+    hhh = hh * h % p
+    v = x1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p
+
+
+def _from_jac(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
+    """Back to affine: Jacobian (X:Y:Z) is projective (X*Z : Y : Z**3)."""
+    x, y, z = xyz
+    p = curve._law[0]
+    return _from_xyz((x * z % p, y, z * z * z % p), curve)
 
 
 def _add_xyz(p1, p2, p: int, a: int, b3: int):
@@ -204,9 +225,9 @@ def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
     x, y, z = xyz
     if z == 0:
         return INFINITY
-    p = curve._law[0]
+    m, p = curve.modulus, curve._law[0]
     zi = inverse_mod(z, p)
-    return _from_xy((x * zi % p, y * zi % p), curve)
+    return AffinePoint(m.element(x * zi % p), m.element(y * zi % p))
 
 
 def format_point(point: AffinePoint, curve: CurveParams) -> str:

@@ -10,17 +10,17 @@ the intermediate collisions with infinity that this produces).
 
 Both walks take an ``MpInt`` scalar and an ``AffinePoint`` and return an
 ``AffinePoint``, entering through the curve module's checked ``_enter``.
-The ladder runs the complete projective law and inverts once, at exit; the
-oracle runs the affine law, one inversion per operation, so the two check
-different formulas against each other.
+Both invert once, at exit: the ladder runs the complete projective law,
+the oracle the Jacobian law with case dispatch, so the two check different
+formulas against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import INFINITY, AffinePoint, CurveParams, _add_xy, _add_xyz
-from .curve import _enter, _from_xy, _from_xyz
+from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _add_xyz
+from .curve import _double_jac, _enter, _from_jac, _from_xyz, _lift
 from .mpint import MpInt
 
 
@@ -75,9 +75,9 @@ def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePo
     kv = k.value
     p, a, _, _ = curve._law
     base = _enter(point, curve)
-    acc = None
+    acc = _lift(None)
     for i in range(kv.bit_length() - 1, -1, -1):
-        acc = _add_xy(acc, acc, p, a)
+        acc = _double_jac(acc, p, a)
         if (kv >> i) & 1:
-            acc = _add_xy(acc, base, p, a)
-    return _from_xy(acc, curve)
+            acc = _add_jac(acc, base, p, a)
+    return _from_jac(acc, curve)

@@ -242,6 +242,18 @@ def test_value_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--scalar", "1g", "--point", "gen"], "--scalar"),
+        (["--scalar", "02", "--point", "05,1g"], "--point"),
+    ],
+)
+def test_value_error_names_its_option(capsys, options, flag):
+    assert run(["mul", "--curve", "smoke17", *options]) == 2
+    _one_error(capsys, f"{flag}: invalid hex character 'g'")
+
+
 def test_bad_curve_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.curve"
     path.write_text(SMOKE17_TEXT.replace("gy=01", "gy=02"))

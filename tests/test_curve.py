@@ -15,7 +15,7 @@ from ecpf.curve import (
     point_add,
     point_double,
 )
-from ecpf.curve import _add_xy, _add_xyz
+from ecpf.curve import _add_jac, _add_xyz, _double_jac
 from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
 from ecpf.field import P192, Modulus
 from ecpf.mpint import MpInt
@@ -57,6 +57,21 @@ def project(xyz, p):
         return None if x == 0 and y != 0 else "not a point"
     zi = pow(z, -1, p)
     return x * zi % p, y * zi % p
+
+
+def lift_jacobian(xy, lam, p):
+    """(lam**2 * x : lam**3 * y : lam); O is (lam**2 : lam**3 : 0)."""
+    x, y, z = (1, 1, 0) if xy is None else (*xy, 1)
+    return x * lam * lam % p, y * lam**3 % p, z * lam
+
+
+def project_jacobian(xyz, p):
+    """Affine form of (X/Z**2, Y/Z**3); Z = 0 is O when Y**2 = X**3 != 0."""
+    x, y, z = xyz
+    if z % p == 0:
+        return None if x % p and (y * y - x**3) % p == 0 else "not a point"
+    zi = pow(z, -1, p)
+    return x * zi * zi % p, y * zi**3 % p
 
 
 def test_on_curve_examples(smoke17):
@@ -253,11 +268,16 @@ def test_complete_law_fails_only_on_order_two_differences():
     assert (cases, failures) == (53538, 3624)
 
 
-def test_affine_law_sweep():
+def test_jacobian_law_sweep():
+    rng = random.Random(2007)
     for p, a, b, points in small_curves():
         for P in points:
+            jac = lift_jacobian(P, rng.randrange(1, p), p)
+            doubled = project_jacobian(_double_jac(jac, p, a), p)
+            assert doubled == oracle_add(P, P, p, a), (p, a, b, P)
             for Q in points:
-                assert _add_xy(P, Q, p, a) == oracle_add(P, Q, p, a), (p, a, b, P, Q)
+                got = project_jacobian(_add_jac(jac, Q, p, a), p)
+                assert got == oracle_add(P, Q, p, a), (p, a, b, P, Q)
 
 
 @settings(deadline=None, max_examples=50)
@@ -280,3 +300,24 @@ def test_complete_law_on_p192_multiples(p192, a, b, lam1, lam2):
     got = _add_xyz(P, Q, P192, P192 - 3, b3)
     assert project(got, P192) == oracle_add(aG, bG, P192, P192 - 3)
     assert got == _add_xyz(Q, P, P192, P192 - 3, b3)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    a=st.integers(0, N192 - 1),
+    b=st.integers(0, N192 - 1),
+    lam=st.integers(1, P192 - 1),
+)
+@example(a=N192 // 3, b=N192 // 3, lam=P192 - 1)
+@example(a=N192 // 3, b=N192 - N192 // 3, lam=2)
+@example(a=0, b=N192 // 5, lam=5)
+@example(a=N192 // 7, b=0, lam=3)
+def test_jacobian_law_on_p192_multiples(p192, a, b, lam):
+    """Mixed addition and doubling on random representatives of multiples of G."""
+    g = as_xy(p192.g)
+    aG, bG = (oracle_mul_binary(k, g, P192, P192 - 3) for k in (a, b))
+    P = lift_jacobian(aG, lam, P192)
+    got = _add_jac(P, bG, P192, P192 - 3)
+    assert project_jacobian(got, P192) == oracle_add(aG, bG, P192, P192 - 3)
+    doubled = _double_jac(P, P192, P192 - 3)
+    assert project_jacobian(doubled, P192) == oracle_add(aG, aG, P192, P192 - 3)
