@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .curve import _enter, format_point, negate, parse_point, point_add, point_double
+from .curve import format_point, negate, parse_point, point_add, point_double
 from .domain import BUNDLED_CURVES, bundled_curve, format_curve_file, load_curve_file
 
 # parse_curve_file is not called here: tests and the ("ecpf.cli", ...)
@@ -77,7 +77,7 @@ def _dispatch(args) -> list[str]:
             elif metavar == "HEX":
                 values.append(MpInt.from_hex(text, curve.modulus.capacity))
             else:
-                values.append(curve.g if text == "gen" else parse_point(text, curve))
+                values.append(parse_point(text, curve))
         except Error as exc:
             raise type(exc)(f"{flag}: {exc}") from None
     command = args.command
@@ -85,12 +85,9 @@ def _dispatch(args) -> list[str]:
         return generate_keypair(curve, seed=values[0]).serialize().splitlines()
     if command == "curve-info":
         return format_curve_file(curve).splitlines()
-    if command == "check":
-        if values[0] is not None:
-            _enter(values[0], curve)
+    if command == "check":  # the curve was checked on load, a point on parsing
         return ["ok"]
     if command == "negate":
-        _enter(*values, curve)
         return [format_point(negate(*values), curve)]
     law = {"mul": ladder, "add": point_add, "double": point_double}[command]
     return [format_point(law(*values, curve), curve)]

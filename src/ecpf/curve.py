@@ -239,12 +239,18 @@ def format_point(point: AffinePoint, curve: CurveParams) -> str:
 
 
 def parse_point(text: str, curve: CurveParams) -> AffinePoint:
-    """Inverse of :func:`format_point`; coordinates must be canonical residues."""
+    """Inverse of :func:`format_point`, and "gen" for G: only points on the curve.
+
+    Coordinates must be canonical residues; a point off the curve raises
+    ``DomainError``.
+    """
     if text == "infinity":
         return INFINITY
+    if text == "gen":
+        return curve.g
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"point must be 'x,y' or 'infinity', got {text!r}")
+        raise ParseError(f"point must be 'x,y', 'gen' or 'infinity', got {text!r}")
     m = curve.modulus
     coords = []
     for part in parts:
@@ -252,4 +258,6 @@ def parse_point(text: str, curve: CurveParams) -> AffinePoint:
         if value >= m.p:
             raise ValidationError(f"coordinate {part} is not a canonical residue")
         coords.append(FieldElement(value, m))
-    return AffinePoint(coords[0], coords[1])
+    point = AffinePoint(*coords)
+    _enter(point, curve)
+    return point

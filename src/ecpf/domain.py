@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import cache
 from importlib import resources
 
-from .curve import AffinePoint, CurveParams
+from .curve import CurveParams
 from .errors import FormatError, ParseError, RangeError, UsageError, ValidationError
-from .field import FieldElement, Modulus
+from .field import Modulus
 from .mpint import MpInt
 from .scalar_mul import ladder
 
@@ -84,22 +84,14 @@ def parse_curve_file(text: str) -> CurveParams:
     if modulus.bits > _MAX_P_BITS:
         raise ValidationError(f"p is larger than {_MAX_P_BITS} bits")
 
-    def residue(key: str) -> FieldElement:
-        value = numeric(key, modulus.capacity)
-        if value >= modulus.p:
+    p, ints = modulus.p.value, []
+    for key in _REQUIRED_KEYS[2:]:  # a, b, gx, gy, n, h
+        value = numeric(key, modulus.capacity).value
+        if key not in ("n", "h") and value >= p:
             raise ValidationError(f"{key} is not a canonical residue")
-        return FieldElement(value, modulus)
-
-    params = CurveParams(
-        name=name,
-        modulus=modulus,
-        a=residue("a"),
-        b=residue("b"),
-        g=AffinePoint(residue("gx"), residue("gy")),
-        n=numeric("n", modulus.capacity),
-        h=numeric("h", modulus.capacity),
-    )
-    p, n, h = modulus.p.value, params.n.value, params.h.value
+        ints.append(value)
+    params = CurveParams.from_ints(name, p, *ints)
+    n, h = ints[-2:]
     if not _is_probable_prime(p):
         raise ValidationError("p is not prime")
     if not _is_probable_prime(n):
@@ -139,15 +131,11 @@ def load_curve_file(path: str) -> CurveParams:
     return parse_curve_file(text)
 
 
+@cache
 def bundled_curve(name: str) -> CurveParams:
     """A shipped curve, read, parsed and validated once per process."""
     if name not in BUNDLED_CURVES:
         raise ValidationError(f"no bundled curve named {name!r}")
-    return _load_bundled(name)
-
-
-@cache
-def _load_bundled(name: str) -> CurveParams:
     text = resources.files("ecpf").joinpath(f"curves/{name}.curve").read_text("ascii")
     return parse_curve_file(text)
 

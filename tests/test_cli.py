@@ -78,6 +78,22 @@ def test_parse_curve_file_non_canonical_coefficient():
         parse_curve_file(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("a=02\nb=02", "a=99\nb=zz", "a is not a canonical residue"),
+        ("n=13\nh=01", "n=" + "f" * 40 + "\nh=zz", "line 9: n: value of 160 bits exceeds capacity 74"),
+    ],
+    ids=["residue-before-hex", "capacity-before-hex"],
+)
+def test_curve_file_reports_its_first_bad_value(capsys, tmp_path, old, new, message):
+    # Values are checked in key order, each parsed and range-checked in turn.
+    path = tmp_path / "bad.curve"
+    path.write_text(SMOKE17_TEXT.replace(old, new))
+    assert run(["curve-info", "--curve-file", str(path)]) == 2
+    _one_error(capsys, message)
+
+
 def test_parse_curve_file_empty_name():
     text = SMOKE17_TEXT.replace("name=smoke17", "name=")
     with pytest.raises(FormatError, match="empty curve name"):
@@ -242,16 +258,32 @@ def test_value_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+_VALUE_ERRORS = {  # an option's bad value: the error it reads after the flag
+    "1g": "invalid hex character 'g'",
+    "05,1g": "invalid hex character 'g'",
+    "05,02": "point not on curve",
+    "GEN": "point must be 'x,y', 'gen' or 'infinity', got 'GEN'",
+}
+
+
 @pytest.mark.parametrize(
     "options, flag",
     [
-        (["--scalar", "1g", "--point", "gen"], "--scalar"),
-        (["--scalar", "02", "--point", "05,1g"], "--point"),
+        (["mul", "--scalar", "1g", "--point", "gen"], "--scalar"),
+        (["mul", "--scalar", "02", "--point", "05,1g"], "--point"),
+        (["mul", "--scalar", "02", "--point", "05,02"], "--point"),
+        (["add", "--p1", "05,02", "--p2", "gen"], "--p1"),
+        (["add", "--p1", "gen", "--p2", "05,02"], "--p2"),
+        (["check", "--point", "05,02"], "--point"),
+        (["add", "--p1", "GEN", "--p2", "gen"], "--p1"),
+        # the first bad value in table order, off-curve or malformed
+        (["add", "--p2", "zz", "--p1", "05,02"], "--p1"),
     ],
 )
 def test_value_error_names_its_option(capsys, options, flag):
-    assert run(["mul", "--curve", "smoke17", *options]) == 2
-    _one_error(capsys, f"{flag}: invalid hex character 'g'")
+    command, *rest = options
+    assert run([command, "--curve", "smoke17", *rest]) == 2
+    _one_error(capsys, f"{flag}: {_VALUE_ERRORS[rest[rest.index(flag) + 1]]}")
 
 
 def test_bad_curve_file_exits_2(capsys, tmp_path):
@@ -320,6 +352,40 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
+
+
+def _readme_examples():
+    """(argv, exit code, stdout) of each README command-line example with a result.
+
+    A result is the command's trailing comment or the comment lines right
+    under it: "-> OUT", "exit N: why", or output lines as printed; text
+    after two spaces is a note.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    examples, results = [], None
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        if command:
+            results = []
+            examples.append((command.split()[1:], results))
+        elif not line.strip():
+            results = None  # a comment after a blank line introduces the next command
+        if comment and results is not None:
+            results.append(comment.split("  ")[0])
+    for argv, results in examples:
+        if results and results[0].startswith("exit "):
+            yield argv, int(results[0].split()[1].rstrip(":")), ""
+        elif results:
+            yield argv, 0, "".join(r.removeprefix("-> ") + "\n" for r in results)
+
+
+def test_readme_command_line_examples(capsys):
+    examples = list(_readme_examples())
+    assert len(examples) >= 7
+    for argv, code, out in examples:
+        assert run(argv) == code, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def _one_error(capsys, message):

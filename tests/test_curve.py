@@ -246,6 +246,11 @@ def test_parse_point_errors(smoke17):
         parse_point("zz,01", smoke17)
     with pytest.raises(ValidationError):
         parse_point("12,01", smoke17)  # 0x12 = 18 >= 17
+    with pytest.raises(DomainError, match="point not on curve"):
+        parse_point("05,02", smoke17)
+    with pytest.raises(ParseError, match="'x,y', 'gen' or 'infinity'"):
+        parse_point("GEN", smoke17)
+    assert parse_point("gen", smoke17) == smoke17.g
 
 
 def test_complete_law_fails_only_on_order_two_differences():
