@@ -1,8 +1,8 @@
 """Command-line surface: keygen, mul, add, double, negate, check, curve-info.
 
 This module reads argv, dispatches to the library and writes the output:
-results to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 usage error, 2 validation or domain error, 3 randomness failure.
+results to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage
+error or a failed write, 2 validation or domain error, 3 randomness failure.
 ``_COMMANDS`` is the one place where commands and their options are declared:
 the parser and the conversion of each option's text both read it.
 """
@@ -10,6 +10,7 @@ the parser and the conversion of each option's text both read it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .curve import format_point, negate, parse_point, point_add, point_double
@@ -111,4 +112,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:  # stdout is full, or its reader has gone
+        # Python's SIGPIPE recipe: fd 1 on devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write output:", exc.strerror, file=sys.stderr)
+        code = 1
+    raise SystemExit(code)

@@ -1,9 +1,9 @@
 """Curve domains: loading and validating (p, a, b, G, n, h).
 
-A curve comes from a key=value text, either a file or one of the curves
-shipped with the package, and is validated once, on load, with checks
-from SEC 1 v2 section 3.1.1.2.1: ``CurveParams`` makes its structural checks,
-and this module adds those that need primality tests, a scalar
+A curve comes from a key=value file, a user's or one in ``curves/`` beside
+this module, read by ``load_curve_file`` and validated once, on load, with
+checks from SEC 1 v2 section 3.1.1.2.1: ``CurveParams`` makes its structural
+checks, and this module adds those that need primality tests, a scalar
 multiplication or the Hasse bound.  It sits above ``scalar_mul`` so that it
 can run the n*G ladder without an import cycle.  Shipped curves are cached
 per process; curve files are read on every call, because a file can change.
@@ -12,8 +12,8 @@ per process; curve files are read on every call, because a file can change.
 
 from __future__ import annotations
 
+import os
 from functools import cache
-from importlib import resources
 
 from .curve import CurveParams
 from .errors import FormatError, ParseError, RangeError, UsageError, ValidationError
@@ -133,11 +133,11 @@ def load_curve_file(path: str) -> CurveParams:
 
 @cache
 def bundled_curve(name: str) -> CurveParams:
-    """A shipped curve, read, parsed and validated once per process."""
+    """A shipped curve: its file beside this module, loaded once per process."""
     if name not in BUNDLED_CURVES:
         raise ValidationError(f"no bundled curve named {name!r}")
-    text = resources.files("ecpf").joinpath(f"curves/{name}.curve").read_text("ascii")
-    return parse_curve_file(text)
+    path = os.path.join(os.path.dirname(__file__), "curves", f"{name}.curve")
+    return load_curve_file(path)
 
 
 def _is_probable_prime(n: int) -> bool:

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import ecpf
+import ecpf.cli
+import ecpf.domain
 from ecpf.cli import bundled_curve, load_curve_file, parse_curve_file, run
 from ecpf.curve import parse_point
 from ecpf.domain import format_curve_file
@@ -116,6 +119,22 @@ def test_load_curve_file_nul_in_path_exits_1(capsys):
 def test_bundled_curve_unknown_name():
     with pytest.raises(ValidationError):
         bundled_curve("p256")
+
+
+def test_broken_packaged_curve_file_is_one_error(capsys, monkeypatch, tmp_path):
+    # Shipped curves go through load_curve_file: a package whose curves/ is
+    # missing or damaged gives one error line, like a bad curve file.
+    monkeypatch.setattr(ecpf.domain, "__file__", str(tmp_path / "domain.py"))
+    # uncached, so that no other test sees the broken curve
+    monkeypatch.setattr(ecpf.cli, "bundled_curve", bundled_curve.__wrapped__)
+    missing = tmp_path / "curves" / "smoke17.curve"
+    assert run(["curve-info", "--curve", "smoke17"]) == 1
+    error = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
+    _one_error(capsys, f"cannot read curve file: {error}")
+    missing.parent.mkdir()
+    missing.write_bytes(SMOKE17_TEXT.replace("smoke17", "sm\xf6ke17").encode("latin-1"))
+    assert run(["curve-info", "--curve", "smoke17"]) == 2
+    _one_error(capsys, "curve file is not ASCII text")
 
 
 def test_keygen_seeded(capsys):
@@ -354,6 +373,40 @@ def test_module_entry_point():
     assert result.stdout == b"private=0a\npublic=07,0b\n"
 
 
+def _run_module_into(stdout, unbuffered):
+    """``python -m ecpf curve-info --curve p192`` with its stdout on ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # print() itself fails, not the flush after it
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "ecpf", "curve-info", "--curve", "p192"]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_write_to_a_full_device_exits_1(unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        result = _run_module_into(full, unbuffered)
+    assert result.returncode == 1
+    error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert result.stderr == error.encode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_write_to_a_closed_pipe_exits_1(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_module_into(write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    error = f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+    assert result.stderr == error.encode()
+
+
 def _readme_examples():
     """(argv, exit code, stdout) of each README command-line example with a result.
 
@@ -493,8 +546,18 @@ def test_error_quoting_a_newline_stays_one_line(capsys):
             "name=small\np=11\na=00\nb=01\ngx=00\ngy=01\nn=03\nh=06\n",
             "n is not larger than 4*sqrt(p)",
         ),
+        # e101 (82 points, n = 41) with h = 3: h*n = p + 1 + 21, 2*sqrt(p) < 21
+        (
+            "name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=03\n",
+            "h*n is outside the Hasse interval",
+        ),
+        # y^2 = x^3 + 1 over GF(101) has 102 points: n = 17 with 16 + p < n*n <= 16p
+        (
+            "name=e101s\np=65\na=00\nb=01\ngx=4b\ngy=0a\nn=11\nh=06\n",
+            "n is not larger than 4*sqrt(p)",
+        ),
     ],
-    ids=["h0", "h2", "anomalous", "small-n"],
+    ids=["h0", "h2", "anomalous", "small-n", "hasse-edge", "sqrt-edge"],
 )
 def test_curve_file_failing_an_order_check_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "bad.curve"

@@ -7,7 +7,7 @@ import pytest
 
 import ecpf
 import ecpf.domain
-from ecpf.domain import bundled_curve, parse_curve_file
+from ecpf.domain import _is_probable_prime, bundled_curve, parse_curve_file
 from ecpf.errors import ValidationError
 
 
@@ -18,6 +18,17 @@ def test_library_import_leaves_cli_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"set()\n"
+
+
+def test_cli_import_leaves_the_resource_machinery_unloaded():
+    # -S: without site, nothing but ecpf can import these into the child.
+    # Bundled curves are read with open(), so a CLI call needs none of them.
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+    heavy = "{'importlib.resources', 'pathlib', 'zipfile', 'tempfile'}"
+    code = f"import sys, ecpf.cli; print(sorted({heavy} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
 
 
 def test_bundled_curve_is_validated_once(monkeypatch):
@@ -41,3 +52,7 @@ def test_bundled_curve_is_validated_once(monkeypatch):
 def test_unknown_bundled_curve_is_rejected():
     with pytest.raises(ValidationError, match="no bundled curve named 'nope'"):
         bundled_curve("nope")
+
+
+def test_smallest_primes_are_prime():
+    assert [m for m in range(12) if _is_probable_prime(m)] == [2, 3, 5, 7, 11]

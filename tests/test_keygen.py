@@ -19,6 +19,8 @@ def test_random_scalar_deterministic_examples(smoke17):
     assert random_scalar(n, seed=37).value == 2
     assert random_scalar(n, seed=18).value == 1
     assert random_scalar(n, seed=MpInt(9)).value == 10
+    # n = 2 is the smallest order: [1, n-1] holds only 1
+    assert random_scalar(MpInt(2), seed=5).value == 1
 
 
 def test_random_scalar_rejects_tiny_order():
@@ -33,6 +35,7 @@ def test_random_scalar_uniform_mode_range(smoke17, p192):
         for _ in range(50):
             d = random_scalar(curve.n)
             assert 1 <= d.value <= curve.n.value - 1
+    assert random_scalar(MpInt(2)).value == 1
 
 
 def test_rejection_sampling_iteration_bound(smoke17, p192):
@@ -56,6 +59,8 @@ def test_rejection_sampling_skips_out_of_range_draws(smoke17):
     feed = iter([0, smoke17.n.value, smoke17.n.value + 3, 7])
     d = random_scalar(smoke17.n, randbits=lambda bits: next(feed))
     assert d.value == 7
+    # 1 is the lowest acceptable draw
+    assert random_scalar(smoke17.n, randbits=lambda bits: 1).value == 1
 
 
 def test_entropy_failure_maps_to_randomness_error(smoke17):
@@ -189,7 +194,7 @@ def test_validate_public_key_keeps_the_ladder_on_unvalidated_curves(
 
 
 # Curve files that pass the validator, with their point counts #E = h*n:
-# four of prime order (h = 1), two with h = 2 and one with h = 3.
+# four of prime order (h = 1), three with h = 2 and one with h = 3.
 SWEEP_CURVES = [
     ("name=smoke17\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n", 19),
     ("name=e23\np=17\na=01\nb=04\ngx=00\ngy=02\nn=1d\nh=01\n", 29),
@@ -198,6 +203,9 @@ SWEEP_CURVES = [
     ("name=h2\np=2f\na=01\nb=0b\ngx=07\ngy=13\nn=1d\nh=02\n", 58),
     ("name=h2b\np=35\na=05\nb=01\ngx=2e\ngy=2b\nn=1f\nh=02\n", 62),
     ("name=h3\np=97\na=01\nb=13\ngx=14\ngy=91\nn=35\nh=03\n", 159),
+    # at the edges of the order checks: n*n = 1681 just above 16p = 1616, and
+    # h*n = p + 1 - 20 with 2*sqrt(p) about 20.1
+    ("name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=02\n", 82),
 ]
 
 

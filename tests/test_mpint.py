@@ -73,6 +73,8 @@ def test_bit_length_examples():
     assert MpInt(0).bit_length() == 0
     assert MpInt(1).bit_length() == 1
     assert MpInt(256).bit_length() == 9
+    assert bool(MpInt(0)) is False
+    assert bool(MpInt(7)) is True
 
 
 def test_capacity_for_bits():
