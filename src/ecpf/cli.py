@@ -48,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):  # argparse's own swallows a failed write
+        (file or sys.stdout).write(self.format_help())
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecpf", description="Elliptic-curve keys over GF(p)")

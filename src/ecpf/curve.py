@@ -69,6 +69,8 @@ class CurveParams:
     #: True only when ``domain.parse_curve_file`` proved the domain, #E = h*n;
     #: ``from_ints`` and ``dataclasses.replace`` leave it False.
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
+    #: ``scalar_mul.fixed_base``'s projective 2^i*G, built on the first key.
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for coeff in (self.a, self.b):

@@ -4,7 +4,8 @@ Random mode draws from the operating system's cryptographic source with
 rejection sampling, giving a uniform private scalar in [1, n-1].
 Deterministic mode maps a caller-supplied seed through (seed mod (n-1)) + 1;
 it exists for reproducible tests only, is not uniform, and must never be
-used for production keys.
+used for production keys.  Q = d*G comes from ``scalar_mul.fixed_base``
+on a validated curve and from the ladder on any other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .curve import AffinePoint, CurveParams, on_curve
 from .errors import RandomnessError, RangeError, ValidationError
 from .mpint import MpInt
-from .scalar_mul import ladder
+from .scalar_mul import fixed_base, ladder
 
 # Rejection sampling accepts with probability above 1/2 per draw, so this
 # bound is unreachable with a working entropy source.
@@ -70,9 +71,12 @@ def random_scalar(n: MpInt, *, seed: int | MpInt | None = None, randbits=None) -
 def generate_keypair(
     curve: CurveParams, *, seed: int | MpInt | None = None, randbits=None
 ) -> KeyPair:
-    """Generate d and derive Q = d*G; ``ValidationError`` if Q is O."""
+    """Generate d and derive Q = d*G; ``ValidationError`` if Q is O.
+
+    Only a validated curve, whose n is prime, takes ``fixed_base``.
+    """
     d = random_scalar(curve.n, seed=seed, randbits=randbits)
-    q = ladder(d, curve.g, curve)
+    q = fixed_base(d, curve) if curve._validated else ladder(d, curve.g, curve)
     if q.is_infinity:
         raise ValidationError("d*G is the identity, so n is not the order of G")
     return KeyPair(d=d, q=q, curve_name=curve.name)

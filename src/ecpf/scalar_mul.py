@@ -12,7 +12,9 @@ Both walks take an ``MpInt`` scalar and an ``AffinePoint`` and return an
 ``AffinePoint``, entering through the curve module's checked ``_enter``.
 Both invert once, at exit: the ladder runs the complete projective law,
 the oracle the Jacobian law with case dispatch, so the two check different
-formulas against each other.
+formulas against each other.  ``fixed_base`` computes d*G on a validated
+curve from a per-curve table of 2^i*G: one complete addition per bit of n,
+whatever d is, and one inversion; key generation runs it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _add_xyz
 from .curve import _double_jac, _enter, _from_jac, _from_xyz, _lift
+from .errors import RangeError, ValidationError
 from .mpint import MpInt
 
 
@@ -81,3 +84,32 @@ def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePo
         if (kv >> i) & 1:
             acc = _add_jac(acc, base, p, a)
     return _from_jac(acc, curve)
+
+
+def fixed_base(d: MpInt, curve: CurveParams) -> AffinePoint:
+    """d*G on a validated curve, for 0 <= d < 2^L with L = n.bit_length().
+
+    Walks the table T[i] = 2^i*G, i < L, built with L - 1 doublings on the
+    first call for a curve and kept in ``curve._table``: every T[i] is added
+    to R[bit i of d], so R1 = d*G after exactly L complete additions, with
+    no branch on a bit, and one inversion at exit.  Every operand is a
+    multiple of G, whose order n is an odd prime on a validated curve, so no
+    difference has order 2 and the complete law is exact throughout.
+    """
+    p, a, _, b3 = curve._law
+    table = curve._table
+    if table is None:
+        if not curve._validated:
+            raise ValidationError("fixed_base needs a curve from parse_curve_file")
+        table = [(*_enter(curve.g, curve), 1)]
+        for _ in range(curve.n.bit_length() - 1):
+            table.append(_add_xyz(table[-1], table[-1], p, a, b3))
+        object.__setattr__(curve, "_table", tuple(table))
+    dv = d.value
+    if dv >> len(table):
+        raise RangeError(f"scalar wider than the {len(table)}-bit table")
+    regs = [(0, 1, 0), (0, 1, 0)]
+    for i, row in enumerate(table):
+        bit = (dv >> i) & 1
+        regs[bit] = _add_xyz(regs[bit], row, p, a, b3)
+    return _from_xyz(regs[1], curve)

@@ -373,13 +373,13 @@ def test_module_entry_point():
     assert result.stdout == b"private=0a\npublic=07,0b\n"
 
 
-def _run_module_into(stdout, unbuffered):
-    """``python -m ecpf curve-info --curve p192`` with its stdout on ``stdout``."""
+def _run_module_into(stdout, unbuffered, args=("curve-info", "--curve", "p192")):
+    """``python -m ecpf ARGS`` with its stdout on ``stdout``."""
     env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:  # print() itself fails, not the flush after it
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "ecpf", "curve-info", "--curve", "p192"]
+    argv = [sys.executable, "-m", "ecpf", *args]
     return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
@@ -389,6 +389,19 @@ def test_write_to_a_full_device_exits_1(unbuffered):
         pytest.skip("no /dev/full on this system")
     with open("/dev/full", "wb") as full:
         result = _run_module_into(full, unbuffered)
+    assert result.returncode == 1
+    error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert result.stderr == error.encode()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["keygen", "--help"]], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_device_exits_1(unbuffered, args):
+    # argparse's own print_help swallows the OSError of an unbuffered write
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        result = _run_module_into(full, unbuffered, args)
     assert result.returncode == 1
     error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
     assert result.stderr == error.encode()

@@ -1,16 +1,28 @@
 import dataclasses
+import os
 import random
+import sys
 
 import pytest
 
+import ecpf.domain
 import ecpf.keygen
-from ecpf.curve import INFINITY, CurveParams, negate
-from ecpf.domain import parse_curve_file
+import ecpf.scalar_mul
+from ecpf.curve import INFINITY, CurveParams, _add_xyz, negate
+from ecpf.domain import load_curve_file, parse_curve_file
 from ecpf.errors import RandomnessError, RangeError, ValidationError
+from ecpf.field import P192, inverse_mod
 from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
-from ecpf.scalar_mul import ladder
-from helpers import as_xy, enumerate_points, mk_point, oracle_mul_repeated, scalar
+from ecpf.scalar_mul import fixed_base, ladder
+from helpers import (
+    as_xy,
+    enumerate_points,
+    mk_point,
+    oracle_mul_binary,
+    oracle_mul_repeated,
+    scalar,
+)
 
 
 def test_random_scalar_deterministic_examples(smoke17):
@@ -225,3 +237,123 @@ def test_validate_public_key_agrees_with_the_order_ladder(text, order):
         valid += expected
     # the points of order n: all finite ones when h = 1
     assert valid == curve.n.value - 1
+
+
+def _fresh(name):
+    """A bundled curve read anew, so its fixed-base table is not built yet."""
+    path = os.path.join(os.path.dirname(ecpf.domain.__file__), "curves", f"{name}.curve")
+    return load_curve_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, order", SWEEP_CURVES, ids=[text.split("\n")[0][5:] for text, _ in SWEEP_CURVES]
+)
+def test_fixed_base_equals_the_ladder_for_every_scalar(text, order):
+    # every d below 2^L, so d = 0 and d >= n too, on curves with h = 1, 2 and 3
+    curve = parse_curve_file(text)
+    for d in range(1 << curve.n.bit_length()):
+        k = scalar(curve, d)
+        assert fixed_base(k, curve) == ladder(k, curve.g, curve), d
+
+
+def test_fixed_base_equals_the_ladder_and_the_oracle_p192(p192):
+    n = p192.n.value
+    rng = random.Random(18)
+    scalars = [1, 2, 3, n - 2, n - 1]
+    scalars += [1 << k for k in range(n.bit_length())]
+    # long runs of zero bits, low, high and in the middle
+    scalars += [(1 << 191) | 1, (1 << 150) | (1 << 3), 0xFFFF << 170, (1 << 64) - 1]
+    scalars += [rng.randrange(1, n) for _ in range(20)]
+    g_xy = as_xy(p192.g)
+    for d in scalars:
+        k = scalar(p192, d)
+        q = fixed_base(k, p192)
+        assert q == ladder(k, p192.g, p192), d
+        assert as_xy(q) == oracle_mul_binary(d, g_xy, P192, P192 - 3), d
+
+
+def test_fixed_base_refuses_unvalidated_curves_and_wide_scalars(smoke17):
+    rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
+    with pytest.raises(ValidationError):
+        fixed_base(scalar(rebuilt, 3), rebuilt)
+    assert rebuilt._table is None
+    with pytest.raises(RangeError):
+        fixed_base(scalar(smoke17, 1 << smoke17.n.bit_length()), smoke17)
+
+
+def test_keygen_formula_calls_are_uniform(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _add_xyz(*args)
+
+    monkeypatch.setattr(ecpf.scalar_mul, "_add_xyz", counted)
+    smoke17, p192 = _fresh("smoke17"), _fresh("p192")
+    for curve in (smoke17, p192):
+        bits = curve.n.bit_length()
+        calls.clear()
+        generate_keypair(curve, seed=1)  # builds the table: L - 1 doublings first
+        assert len(calls) == 2 * bits - 1
+        calls.clear()
+        generate_keypair(curve, seed=1)
+        assert len(calls) == bits
+    for seed in range(1 << 10):
+        calls.clear()
+        generate_keypair(smoke17, seed=seed)
+        assert len(calls) == smoke17.n.bit_length(), seed
+    rng = random.Random(19)
+    for seed in [0, 1, 2, p192.n.value - 2] + [rng.getrandbits(192) for _ in range(20)]:
+        calls.clear()
+        generate_keypair(p192, seed=seed)
+        assert len(calls) == 192, seed
+
+
+def test_keygen_inverts_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(value, p):
+        calls.append(value)
+        return inverse_mod(value, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ecpf" and vars(module).get("inverse_mod") is inverse_mod:
+            monkeypatch.setattr(module, "inverse_mod", counted)
+    p192 = _fresh("p192")
+    for seed in (1, 2, 12345, p192.n.value - 2):
+        calls.clear()
+        generate_keypair(p192, seed=seed)
+        assert len(calls) == 1, seed
+
+
+def test_keygen_keeps_the_ladder_on_unvalidated_curves(monkeypatch, p192):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(ecpf.keygen, "ladder", counting)
+    rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
+    copy = dataclasses.replace(p192, name="copy")
+    for curve in (rebuilt, copy):
+        calls.clear()
+        pair = generate_keypair(curve, seed=9)
+        assert len(calls) == 1
+        assert curve._table is None
+        assert pair.q == ladder(pair.d, curve.g, curve)
+    # the validated original takes the table and not the ladder
+    calls.clear()
+    generate_keypair(p192, seed=9)
+    assert calls == []
+
+
+def test_table_is_invisible_to_repr_eq_and_hash():
+    curve, twin = _fresh("p192"), _fresh("p192")
+    before = (repr(curve), hash(curve))
+    assert curve._table is None
+    generate_keypair(curve, seed=1)
+    assert len(curve._table) == curve.n.bit_length()
+    assert twin._table is None
+    assert (repr(curve), hash(curve)) == before
+    assert curve == twin and hash(curve) == hash(twin)
