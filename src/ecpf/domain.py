@@ -16,7 +16,7 @@ import os
 from functools import cache
 
 from .curve import CurveParams
-from .errors import FormatError, ParseError, RangeError, UsageError, ValidationError
+from .errors import Error, FormatError, ParseError, RangeError, UsageError, ValidationError
 from .field import Modulus
 from .mpint import MpInt
 from .scalar_mul import ladder
@@ -137,7 +137,10 @@ def bundled_curve(name: str) -> CurveParams:
     if name not in BUNDLED_CURVES:
         raise ValidationError(f"no bundled curve named {name!r}")
     path = os.path.join(os.path.dirname(__file__), "curves", f"{name}.curve")
-    return load_curve_file(path)
+    try:
+        return load_curve_file(path)
+    except UsageError as exc:  # not the user's argv: the installation is broken
+        raise Error(str(exc)) from None
 
 
 def _is_probable_prime(n: int) -> bool:

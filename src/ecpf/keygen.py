@@ -1,7 +1,7 @@
 """Private-scalar generation and public-key derivation Q = d*G.
 
-Random mode draws from the operating system's cryptographic source with
-rejection sampling, giving a uniform private scalar in [1, n-1].
+Random mode draws from the OS through ``random.SystemRandom``, the generator
+behind ``secrets.randbits``, with rejection sampling: a uniform d in [1, n-1].
 Deterministic mode maps a caller-supplied seed through (seed mod (n-1)) + 1;
 it exists for reproducible tests only, is not uniform, and must never be
 used for production keys.  Q = d*G comes from ``scalar_mul.fixed_base``
@@ -10,8 +10,9 @@ on a validated curve and from the ladder on any other.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
+from random import SystemRandom
+from types import SimpleNamespace
 
 from .curve import AffinePoint, CurveParams, on_curve
 from .errors import RandomnessError, RangeError, ValidationError
@@ -21,6 +22,9 @@ from .scalar_mul import fixed_base, ladder
 # Rejection sampling accepts with probability above 1/2 per draw, so this
 # bound is unreachable with a working entropy source.
 _MAX_DRAWS = 4096
+
+# secrets.randbits under its usual patch point; importing secrets would load OpenSSL.
+secrets = SimpleNamespace(randbits=SystemRandom().getrandbits)
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ def random_scalar(n: MpInt, *, seed: int | MpInt | None = None, randbits=None) -
     if seed is not None:
         d = int(seed) % (n.value - 1) + 1
         return MpInt(d, n.capacity)
-    if randbits is None:
-        randbits = secrets.randbits
+    randbits = randbits or secrets.randbits
     bits = n.bit_length()
     for _ in range(_MAX_DRAWS):
         try:

@@ -128,7 +128,7 @@ def test_broken_packaged_curve_file_is_one_error(capsys, monkeypatch, tmp_path):
     # uncached, so that no other test sees the broken curve
     monkeypatch.setattr(ecpf.cli, "bundled_curve", bundled_curve.__wrapped__)
     missing = tmp_path / "curves" / "smoke17.curve"
-    assert run(["curve-info", "--curve", "smoke17"]) == 1
+    assert run(["curve-info", "--curve", "smoke17"]) == 2
     error = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
     _one_error(capsys, f"cannot read curve file: {error}")
     missing.parent.mkdir()

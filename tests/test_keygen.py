@@ -1,7 +1,9 @@
 import dataclasses
 import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,25 @@ def test_entropy_failure_maps_to_randomness_error(smoke17):
 
     with pytest.raises(RandomnessError):
         random_scalar(smoke17.n, randbits=broken)
+
+
+def test_default_source_is_the_os(p192):
+    # The generator behind secrets.randbits, never the seeded module-level one.
+    assert isinstance(ecpf.keygen.secrets.randbits.__self__, random.SystemRandom)
+    assert generate_keypair(p192).d != generate_keypair(p192).d
+
+
+def test_cli_import_loads_no_openssl():
+    # Only modules new since start-up count, so a site that loads one cannot decide.
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.keygen.__file__).parents[1])}
+    heavy = "{'secrets', 'hmac', 'hashlib', '_hashlib'}"
+    code = (
+        "import sys; before = set(sys.modules); import ecpf.cli; "
+        f"print(sorted({heavy} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
 
 
 def test_hopeless_source_eventually_gives_up(smoke17):
