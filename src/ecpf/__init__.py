@@ -1,13 +1,11 @@
 """Elliptic-curve key generation over prime fields GF(p).
 
 Layers, bottom up: fixed-capacity integers (``mpint``), GF(p) arithmetic
-(``field``), Jacobian and complete projective group laws (``curve``), a
-Montgomery ladder on the projective law with a Jacobian double-and-add
-oracle and a fixed-base walk over a table of 2^i*G (``scalar_mul``), curve
-loading and domain validation (``domain``), keypair generation on that walk
-(``keygen``) and a batch CLI (``cli``).  Every value is immutable after
-construction and safe to share across threads; a validated curve's table is
-a cache, filled on its first key, that no comparison, hash or repr sees.
+(``field``), Jacobian and x-only group laws (``curve``), a Montgomery
+ladder on the x-only law with a Jacobian double-and-add oracle
+(``scalar_mul``), curve loading and domain validation (``domain``), keypair
+generation on the ladder (``keygen``) and a batch CLI (``cli``).  Every
+value is immutable after construction and safe to share across threads.
 """
 
 from .curve import (

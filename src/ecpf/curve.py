@@ -9,9 +9,9 @@ The law is written twice on plain-int residues, each inverting once, at
 exit, in ``_from_xyz``.  Jacobian, on (X:Y:Z) = (X/Z**2, Y/Z**3) with O as
 Z = 0: ``_double_jac`` and ``_add_jac``, a mixed addition of an affine point
 that dispatches O, equal points and inverse points; ``point_add``,
-``point_double`` and ``double_and_add`` run it.  Complete projective,
-``_add_xyz`` on (X:Y:Z) = (X/Z, Y/Z) with O as (0:1:0), one function that
-adds and doubles; the ladder runs it.  ``AffinePoint`` with
+``point_double`` and ``double_and_add`` run it.  x-only, on (X:Z) = X/Z
+with O as (X:0): ``_xdbl`` and ``_xadd``, an addition of two points whose
+difference has a known x; the ladder runs it.  ``AffinePoint`` with
 ``FieldElement`` coordinates and ``MpInt`` values stay the public types:
 each operation converts only at entry, through ``_enter``, which rejects a
 point off the curve, and at exit.
@@ -64,20 +64,18 @@ class CurveParams:
     g: AffinePoint
     n: MpInt
     h: MpInt
-    #: (p, a, b, 3*b mod p) as ints, derived once for the int law.
+    #: (p, a, b, 4*b mod p) as ints, derived once for the int law.
     _law: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
     #: True only when ``domain.parse_curve_file`` proved the domain, #E = h*n;
     #: ``from_ints`` and ``dataclasses.replace`` leave it False.
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
-    #: ``scalar_mul.fixed_base``'s projective 2^i*G, built on the first key.
-    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for coeff in (self.a, self.b):
             if coeff.modulus != self.modulus:
                 raise ContextError("curve coefficients from a different modulus")
         p, a, b = self.modulus.p.value, self.a.value.value, self.b.value.value
-        object.__setattr__(self, "_law", (p, a, b, 3 * b % p))
+        object.__setattr__(self, "_law", (p, a, b, 4 * b % p))
         # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
         if p == 2 or (4 * a * a * a + 27 * b * b) % p == 0:
             raise ValidationError("curve is singular")
@@ -201,25 +199,31 @@ def _from_jac(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
     return _from_xyz((x * z % p, y, z * z * z % p), curve)
 
 
-def _add_xyz(p1, p2, p: int, a: int, b3: int):
-    """Complete projective addition, which doubles too (p1 = p2).
+def _xdbl(r, p: int, a: int, b4: int):
+    """x-only doubling, b4 = 4*b mod p; 4M + 3S + 1m_a + 1m_b.
 
-    Renes, Costello, Batina, "Complete addition formulas for prime order
-    elliptic curves" (EUROCRYPT 2016), Alg. 1, general a, b3 = 3*b mod p;
-    12M + 3m_a + 2m_3b.  Exact unless p1 - p2 has order 2 (even-order curves).
+    Brier, Joye, "Weierstrass elliptic curves and side-channel attacks"
+    (PKC 2002).  Z' is 0, which is O, for O and for a point with y = 0;
+    X' is then X**4 or (3x**2 + a)**2 * Z**4, never 0 on a nonsingular curve.
     """
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    t0, t1, t2 = x1 * x2 % p, y1 * y2 % p, z1 * z2 % p
-    t3 = ((x1 + y1) * (x2 + y2) - t0 - t1) % p
-    t4 = ((x1 + z1) * (x2 + z2) - t0 - t2) % p
-    t5 = ((y1 + z1) * (y2 + z2) - t1 - t2) % p
-    w = a * t4 + b3 * t2
-    u, v = (t1 - w) % p, (t1 + w) % p
-    t2 = a * t2 % p
-    w = (3 * t0 + t2) % p
-    s = (b3 * t4 + a * (t0 - t2)) % p
-    return (t3 * u - t5 * s) % p, (u * v + w * s) % p, (t5 * v + t3 * w) % p
+    x, z = r
+    xx, zz, xz = x * x % p, z * z % p, x * z % p
+    azz, bzz = a * zz % p, b4 * zz % p
+    return ((xx - azz) ** 2 - 2 * bzz * xz) % p, (4 * xz * (xx + azz) + bzz * zz) % p
+
+
+def _xadd(r0, r1, xd: int, p: int, a: int, b4: int):
+    """x(R0 + R1) from R0, R1 and xd = x(R1 - R0); 5M + 2S + 1m_a + 1m_b + 1m_xd.
+
+    Brier-Joye's additive form, x(R0 + R1) + xd = (2(x0 + x1)(x0*x1 + a) +
+    4b) / (x0 - x1)**2, projectively.  Exact whenever R1 - R0 is not O: an
+    O operand gives the other one, and R1 = -R0 gives (X:0) with X != 0.
+    """
+    x0, z0 = r0
+    x1, z1 = r1
+    u, v, zz = x0 * z1 % p, x1 * z0 % p, z0 * z1 % p
+    w = (u - v) ** 2 % p
+    return (2 * (u + v) * (x0 * x1 + a * zz) + b4 * zz * zz - xd * w) % p, w
 
 
 def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:

@@ -4,8 +4,9 @@ Random mode draws from the OS through ``random.SystemRandom``, the generator
 behind ``secrets.randbits``, with rejection sampling: a uniform d in [1, n-1].
 Deterministic mode maps a caller-supplied seed through (seed mod (n-1)) + 1;
 it exists for reproducible tests only, is not uniform, and must never be
-used for production keys.  Q = d*G comes from ``scalar_mul.fixed_base``
-on a validated curve and from the ladder on any other.
+used for production keys.  Q = d*G comes from the ladder.  On a validated
+curve, where n*G = O, it runs on d + n or d + 2n, whichever has one bit
+more than n, so every key costs the same number of ladder steps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 from .curve import AffinePoint, CurveParams, on_curve
 from .errors import RandomnessError, RangeError, ValidationError
 from .mpint import MpInt
-from .scalar_mul import fixed_base, ladder
+from .scalar_mul import ladder
 
 # Rejection sampling accepts with probability above 1/2 per draw, so this
 # bound is unreachable with a working entropy source.
@@ -76,10 +77,15 @@ def generate_keypair(
 ) -> KeyPair:
     """Generate d and derive Q = d*G; ``ValidationError`` if Q is O.
 
-    Only a validated curve, whose n is prime, takes ``fixed_base``.
+    Only on a validated curve, where n*G = O, is the scalar padded.
     """
     d = random_scalar(curve.n, seed=seed, randbits=randbits)
-    q = fixed_base(d, curve) if curve._validated else ladder(d, curve.g, curve)
+    k = d
+    if curve._validated:
+        n = curve.n.value
+        kv = d.value + n
+        k = MpInt(kv if kv >> n.bit_length() else kv + n, d.capacity)
+    q = ladder(k, curve.g, curve)
     if q.is_infinity:
         raise ValidationError("d*G is the identity, so n is not the order of G")
     return KeyPair(d=d, q=q, curve_name=curve.name)

@@ -15,12 +15,12 @@ from ecpf.curve import (
     point_add,
     point_double,
 )
-from ecpf.curve import _add_jac, _add_xyz, _double_jac
+from ecpf.curve import _add_jac, _double_jac, _xadd, _xdbl
 from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
 from ecpf.field import P192, Modulus
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import double_and_add, ladder
-from helpers import as_xy, enumerate_points, mk_point, oracle_add, oracle_mul_binary
+from helpers import as_xy, enumerate_points, mk_point, oracle_add, oracle_mul_binary, scalar
 
 
 SWEEP_PRIMES = (3, 5, 7, 11, 13)
@@ -43,20 +43,21 @@ def small_curves():
                     yield p, a, b, enumerate_points(p, a, b)
 
 
-def lift(xy, lam, p):
-    """The representative (lam*X : lam*Y : lam*Z); O is (0 : lam : 0)."""
-    if xy is None:
-        return 0, lam, 0
-    return xy[0] * lam % p, xy[1] * lam % p, lam
+def lift_x(xy, lam, p):
+    """The x-only representative (lam*x : lam); O is (lam : 0)."""
+    return (lam, 0) if xy is None else (xy[0] * lam % p, lam)
 
 
-def project(xyz, p):
-    """Affine form of a triple; one with Z = 0 other than (0 : Y : 0) is no point."""
-    x, y, z = xyz
-    if z == 0:
-        return None if x == 0 and y != 0 else "not a point"
-    zi = pow(z, -1, p)
-    return x * zi % p, y * zi % p
+def project_x(xz, p):
+    """x of (X:Z), None for O; (0 : 0) is no point."""
+    x, z = xz
+    if z % p == 0:
+        return None if x % p else "not a point"
+    return x * pow(z, -1, p) % p
+
+
+def x_of(xy):
+    return None if xy is None else xy[0]
 
 
 def lift_jacobian(xy, lam, p):
@@ -253,24 +254,24 @@ def test_parse_point_errors(smoke17):
     assert parse_point("gen", smoke17) == smoke17.g
 
 
-def test_complete_law_fails_only_on_order_two_differences():
-    rng = random.Random(2016)
-    cases = failures = 0
+def test_ladder_sweep_every_small_curve():
+    """Every point of every nonsingular curve over GF(p), p in SWEEP_PRIMES, every k < 3*#E."""
+    checks = x_zero = y_zero = even = 0
     for p, a, b, points in small_curves():
-        for P in points:
-            minus_p = None if P is None else (P[0], -P[1] % p)
-            for Q in points:
-                got = _add_xyz(
-                    lift(P, rng.randrange(1, p), p), lift(Q, rng.randrange(1, p), p),
-                    p, a, 3 * b % p,
-                )
-                diff = oracle_add(Q, minus_p, p, a)
-                order_two = diff is not None and diff[1] == 0
-                exact = project(got, p) == oracle_add(P, Q, p, a)
-                assert exact != order_two, (p, a, b, P, Q, got)
-                cases += 1
-                failures += order_two
-    assert (cases, failures) == (53538, 3624)
+        if len(points) == 1:
+            continue  # O alone: no finite G to build the curve on
+        curve = CurveParams.from_ints("sweep", p, a, b, *points[1], 2, 1)
+        even += len(points) % 2 == 0
+        for xy in points[1:]:
+            x_zero += xy[0] == 0
+            y_zero += xy[1] == 0
+        for xy in points:
+            point, acc = mk_point(curve, xy), None
+            for k in range(3 * len(points)):
+                assert as_xy(ladder(scalar(curve, k), point, curve)) == acc, (p, a, b, xy, k)
+                acc = oracle_add(acc, xy, p, a)
+                checks += 1
+    assert (checks, x_zero, y_zero, even) == (160611, 334, 302, 212)
 
 
 def test_jacobian_law_sweep():
@@ -288,23 +289,36 @@ def test_jacobian_law_sweep():
 @settings(deadline=None, max_examples=50)
 @given(
     a=st.integers(0, N192 - 1),
-    b=st.integers(0, N192 - 1),
+    d=st.integers(1, N192 - 1),
+    lam0=st.integers(1, P192 - 1),
     lam1=st.integers(1, P192 - 1),
-    lam2=st.integers(1, P192 - 1),
 )
-@example(a=N192 // 3, b=N192 // 3, lam1=1, lam2=P192 - 1)
-@example(a=N192 // 3, b=N192 - N192 // 3, lam1=2, lam2=3)
-@example(a=0, b=N192 // 5, lam1=5, lam2=7)
-@example(a=0, b=0, lam1=1, lam2=P192 - 1)
-def test_complete_law_on_p192_multiples(p192, a, b, lam1, lam2):
-    """Exact and symmetric on random representatives of multiples of G."""
+@example(a=0, d=N192 // 3, lam0=1, lam1=P192 - 1)  # R0 = O
+@example(a=N192 // 3, d=N192 - N192 // 3, lam0=2, lam1=3)  # R1 = O
+@example(a=N192 // 3, d=N192 - 2 * (N192 // 3), lam0=5, lam1=7)  # R1 = -R0
+@example(a=N192 // 5, d=1, lam0=P192 - 1, lam1=3)  # difference G
+def test_x_only_law_on_p192_multiples(p192, a, d, lam0, lam1):
+    """Exact on random representatives of R0 = a*G and R1 = (a + d)*G, d*G != O."""
     assert p192.n.value == N192
-    g, b3 = as_xy(p192.g), 3 * p192.b.value.value % P192
-    aG, bG = (oracle_mul_binary(k, g, P192, P192 - 3) for k in (a, b))
-    P, Q = lift(aG, lam1, P192), lift(bG, lam2, P192)
-    got = _add_xyz(P, Q, P192, P192 - 3, b3)
-    assert project(got, P192) == oracle_add(aG, bG, P192, P192 - 3)
-    assert got == _add_xyz(Q, P, P192, P192 - 3, b3)
+    g, A, b4 = as_xy(p192.g), P192 - 3, 4 * p192.b.value.value % P192
+    r0, r1, diff = (oracle_mul_binary(k, g, P192, A) for k in (a, (a + d) % N192, d))
+    R0, R1 = lift_x(r0, lam0, P192), lift_x(r1, lam1, P192)
+    got = _xadd(R0, R1, diff[0], P192, A, b4)
+    assert project_x(got, P192) == x_of(oracle_add(r0, r1, P192, A))
+    assert got == _xadd(R1, R0, diff[0], P192, A, b4)
+    for r, R in ((r0, R0), (r1, R1)):
+        assert project_x(_xdbl(R, P192, A, b4), P192) == x_of(oracle_add(r, r, P192, A))
+
+
+def test_ladder_exit_when_the_next_multiple_is_o(p192):
+    """(k+1)*P = O leaves R1 = O, which the y recovery cannot use: k*P is -P."""
+    n, g = p192.n.value, as_xy(p192.g)
+    for xy in (g, oracle_mul_binary(7, g, P192, P192 - 3)):
+        point = mk_point(p192, xy)
+        for k in (n - 1, 2 * n - 1, 3 * n - 1):
+            got = ladder(scalar(p192, k), point, p192)
+            assert got == negate(point), k
+            assert as_xy(got) == oracle_mul_binary(k, xy, P192, P192 - 3), k
 
 
 @settings(deadline=None, max_examples=50)

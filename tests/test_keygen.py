@@ -10,13 +10,13 @@ import pytest
 import ecpf.domain
 import ecpf.keygen
 import ecpf.scalar_mul
-from ecpf.curve import INFINITY, CurveParams, _add_xyz, negate
+from ecpf.curve import INFINITY, CurveParams, _xadd, _xdbl, negate
 from ecpf.domain import load_curve_file, parse_curve_file
 from ecpf.errors import RandomnessError, RangeError, ValidationError
 from ecpf.field import P192, inverse_mod
 from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
-from ecpf.scalar_mul import fixed_base, ladder
+from ecpf.scalar_mul import ladder
 from helpers import (
     as_xy,
     enumerate_points,
@@ -261,7 +261,7 @@ def test_validate_public_key_agrees_with_the_order_ladder(text, order):
 
 
 def _fresh(name):
-    """A bundled curve read anew, so its fixed-base table is not built yet."""
+    """A bundled curve read anew, not the process's cached copy."""
     path = os.path.join(os.path.dirname(ecpf.domain.__file__), "curves", f"{name}.curve")
     return load_curve_file(path)
 
@@ -270,14 +270,18 @@ def _fresh(name):
     "text, order", SWEEP_CURVES, ids=[text.split("\n")[0][5:] for text, _ in SWEEP_CURVES]
 )
 def test_fixed_base_equals_the_ladder_for_every_scalar(text, order):
-    # every d below 2^L, so d = 0 and d >= n too, on curves with h = 1, 2 and 3
+    # key generation's d*G for every d in [1, n-1], on curves with h = 1, 2 and 3
     curve = parse_curve_file(text)
-    for d in range(1 << curve.n.bit_length()):
-        k = scalar(curve, d)
-        assert fixed_base(k, curve) == ladder(k, curve.g, curve), d
+    p, a = curve._law[:2]
+    g_xy = as_xy(curve.g)
+    for d in range(1, curve.n.value):
+        q = generate_keypair(curve, seed=d - 1).q
+        assert q == ladder(scalar(curve, d), curve.g, curve), d
+        assert as_xy(q) == oracle_mul_repeated(d, g_xy, p, a), d
 
 
 def test_fixed_base_equals_the_ladder_and_the_oracle_p192(p192):
+    # key generation's d*G against the ladder and the oracle at the same d
     n = p192.n.value
     rng = random.Random(18)
     scalars = [1, 2, 3, n - 2, n - 1]
@@ -287,47 +291,41 @@ def test_fixed_base_equals_the_ladder_and_the_oracle_p192(p192):
     scalars += [rng.randrange(1, n) for _ in range(20)]
     g_xy = as_xy(p192.g)
     for d in scalars:
-        k = scalar(p192, d)
-        q = fixed_base(k, p192)
-        assert q == ladder(k, p192.g, p192), d
-        assert as_xy(q) == oracle_mul_binary(d, g_xy, P192, P192 - 3), d
-
-
-def test_fixed_base_refuses_unvalidated_curves_and_wide_scalars(smoke17):
-    rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
-    with pytest.raises(ValidationError):
-        fixed_base(scalar(rebuilt, 3), rebuilt)
-    assert rebuilt._table is None
-    with pytest.raises(RangeError):
-        fixed_base(scalar(smoke17, 1 << smoke17.n.bit_length()), smoke17)
+        pair = generate_keypair(p192, seed=d - 1)
+        assert pair.d.value == d
+        assert pair.q == ladder(scalar(p192, d), p192.g, p192), d
+        assert as_xy(pair.q) == oracle_mul_binary(d, g_xy, P192, P192 - 3), d
 
 
 def test_keygen_formula_calls_are_uniform(monkeypatch):
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _add_xyz(*args)
+    def counting(law):
+        def counted(*args):
+            calls.append(law)
+            return law(*args)
 
-    monkeypatch.setattr(ecpf.scalar_mul, "_add_xyz", counted)
-    smoke17, p192 = _fresh("smoke17"), _fresh("p192")
-    for curve in (smoke17, p192):
+        return counted
+
+    monkeypatch.setattr(ecpf.scalar_mul, "_xadd", counting(_xadd))
+    monkeypatch.setattr(ecpf.scalar_mul, "_xdbl", counting(_xdbl))
+
+    def assert_uniform(curve, seed):
+        # the padded scalar has L + 1 bits: L steps after the setup doubling
         bits = curve.n.bit_length()
         calls.clear()
-        generate_keypair(curve, seed=1)  # builds the table: L - 1 doublings first
-        assert len(calls) == 2 * bits - 1
-        calls.clear()
-        generate_keypair(curve, seed=1)
-        assert len(calls) == bits
+        generate_keypair(curve, seed=seed)
+        assert (calls.count(_xadd), calls.count(_xdbl)) == (bits, bits + 1), seed
+
+    smoke17, p192 = _fresh("smoke17"), _fresh("p192")
+    for curve in (smoke17, p192):
+        assert_uniform(curve, 1)  # a curve's first key costs no more
+        assert_uniform(curve, 1)
     for seed in range(1 << 10):
-        calls.clear()
-        generate_keypair(smoke17, seed=seed)
-        assert len(calls) == smoke17.n.bit_length(), seed
+        assert_uniform(smoke17, seed)
     rng = random.Random(19)
     for seed in [0, 1, 2, p192.n.value - 2] + [rng.getrandbits(192) for _ in range(20)]:
-        calls.clear()
-        generate_keypair(p192, seed=seed)
-        assert len(calls) == 192, seed
+        assert_uniform(p192, seed)
 
 
 def test_keygen_inverts_once_per_key(monkeypatch):
@@ -350,9 +348,9 @@ def test_keygen_inverts_once_per_key(monkeypatch):
 def test_keygen_keeps_the_ladder_on_unvalidated_curves(monkeypatch, p192):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return ladder(*args)
+    def counting(k, point, curve):
+        calls.append(k.value)
+        return ladder(k, point, curve)
 
     monkeypatch.setattr(ecpf.keygen, "ladder", counting)
     rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
@@ -360,21 +358,20 @@ def test_keygen_keeps_the_ladder_on_unvalidated_curves(monkeypatch, p192):
     for curve in (rebuilt, copy):
         calls.clear()
         pair = generate_keypair(curve, seed=9)
-        assert len(calls) == 1
-        assert curve._table is None
+        assert calls == [pair.d.value] == [10]
         assert pair.q == ladder(pair.d, curve.g, curve)
-    # the validated original takes the table and not the ladder
-    calls.clear()
-    generate_keypair(p192, seed=9)
-    assert calls == []
+    # the validated original pads d to L + 1 bits with n*G = O
+    n = p192.n.value
+    for seed, k in ((9, 10 + 2 * n), (n - 2, 2 * n - 1), (2**191, 2**191 + 1 + n)):
+        calls.clear()
+        pair = generate_keypair(p192, seed=seed)
+        assert calls == [k] and k.bit_length() == n.bit_length() + 1
+        assert pair.q == ladder(pair.d, p192.g, p192)
 
 
-def test_table_is_invisible_to_repr_eq_and_hash():
+def test_keygen_leaves_repr_eq_and_hash_unchanged():
     curve, twin = _fresh("p192"), _fresh("p192")
     before = (repr(curve), hash(curve))
-    assert curve._table is None
     generate_keypair(curve, seed=1)
-    assert len(curve._table) == curve.n.bit_length()
-    assert twin._table is None
     assert (repr(curve), hash(curve)) == before
     assert curve == twin and hash(curve) == hash(twin)
