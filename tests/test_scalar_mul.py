@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import ecpf.scalar_mul
-from ecpf.curve import INFINITY, CurveParams, _xadd, _xdbl, negate, point_add, point_double
+from ecpf.curve import INFINITY, CurveParams, negate, point_add, point_double
+from ecpf.curve import _xadd, _xdbl
 from ecpf.errors import DomainError
 from ecpf.field import P192, inverse_mod
 from ecpf.scalar_mul import OpCounter, double_and_add, ladder
