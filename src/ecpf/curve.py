@@ -10,11 +10,11 @@ exit, in ``_from_xyz``.  Jacobian, on (X:Y:Z) = (X/Z**2, Y/Z**3) with O as
 Z = 0: ``_double_jac`` and ``_add_jac``, a mixed addition of an affine point
 that dispatches O, equal points and inverse points; ``point_add``,
 ``point_double`` and ``double_and_add`` run it.  x-only, on (X:Z) = X/Z
-with O as (X:0): ``_xdbl`` and ``_xadd``, an addition of two points whose
-difference has a known x; the ladder runs it.  ``AffinePoint`` with
-``FieldElement`` coordinates and ``MpInt`` values stay the public types:
-each operation converts only at entry, through ``_enter``, which rejects a
-point off the curve, and at exit.
+with O as (X:0): ``_xdbl``, ``_xadd`` of two points whose difference has a
+known x, and ``_xrecover``, y from the ladder's two registers; the ladder
+runs it.  ``AffinePoint`` with ``FieldElement`` coordinates and ``MpInt``
+values stay the public types: each operation converts only at entry,
+through ``_enter``, which rejects a point off the curve, and at exit.
 """
 
 from __future__ import annotations
@@ -224,6 +224,19 @@ def _xadd(r0, r1, xd: int, p: int, a: int, b4: int):
     u, v, zz = x0 * z1 % p, x1 * z0 % p, z0 * z1 % p
     w = (u - v) ** 2 % p
     return (2 * (u + v) * (x0 * x1 + a * zz) + b4 * zz * zz - xd * w) % p, w
+
+
+def _xrecover(xy, r0, r1, p: int, a: int, b: int):
+    """(X:Y:Z) of R0 from P = xy and the x-only R0, R1 = R0 + P; 12M + 1S.
+
+    Okeya, Sakurai (CHES 2001).  Z = 2*y*Z0**2*Z1 is 0, so O, if R0 = O or y = 0.
+    """
+    (x, y), (x0, z0), (x1, z1) = xy, r0, r1
+    if z1 == 0:  # R0 + P = O, so R0 = -P
+        return x, -y % p, 1
+    t, u = 2 * y * z0 * z1 % p, x * z0
+    y0 = (2 * b * z0 * z0 + (a * z0 + x * x0) * (u + x0)) * z1 - x1 * (u - x0) ** 2
+    return x0 * t % p, y0 % p, t * z0 % p
 
 
 def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _double_jac
-from .curve import _enter, _from_jac, _from_xyz, _lift, _xadd, _xdbl
+from .curve import _enter, _from_jac, _from_xyz, _lift, _xadd, _xdbl, _xrecover
 from .mpint import MpInt
 
 
@@ -45,21 +45,16 @@ def ladder(
     second-highest down to bit 0, is one step with no branch on b:
     R[1-b] = R0 + R1, then R[b] = 2*R[b] (Joye-Yen, CHES 2002).  The pair's
     difference stays P throughout, so both run the x-only law on (X:Z),
-    and R0 is the result.  At exit y is recovered projectively from x(P),
-    y(P), R0 and R1 (Okeya-Sakurai, CHES 2001) and inverted once; the one
-    state it cannot recover, R1 = O, means R0 = -P.
-
-    k = 0 yields O, k = 1 yields P, and P = O yields O.
+    and R0 is the result, its y recovered by ``_xrecover`` and inverted
+    once.  k = 0 and P = O yield O; every other k and P, k = 1 and a P of
+    order 2 included, run these same steps.
     """
     xy = _enter(point, curve)
     kv = k.value
     if kv == 0 or xy is None:
         return INFINITY
-    # The y recovery at exit divides by 2*y(P).
-    if kv == 1 or xy[1] == 0:
-        return point if kv & 1 else INFINITY
     p, a, b, b4 = curve._law
-    x, y = xy
+    x = xy[0]
     regs = [(x, 1), _xdbl((x, 1), p, a, b4)]
     for i in range(kv.bit_length() - 2, -1, -1):
         bit = (kv >> i) & 1
@@ -68,12 +63,7 @@ def ladder(
         if counter is not None:
             counter.adds += 1
             counter.doubles += 1
-    (x0, z0), (x1, z1) = regs
-    if z1 == 0:  # (k+1)*P = O, so k*P = -P
-        return _from_xyz((x, -y % p, 1), curve)
-    t, u = 2 * y * z0 * z1 % p, x * z0
-    y0 = (2 * b * z0 * z0 + (a * z0 + x * x0) * (u + x0)) * z1 - x1 * (u - x0) ** 2
-    return _from_xyz((x0 * t % p, y0 % p, t * z0 % p), curve)
+    return _from_xyz(_xrecover(xy, *regs, p, a, b), curve)
 
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
