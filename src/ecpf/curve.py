@@ -124,9 +124,8 @@ def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoi
 
 
 def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
-    """Total doubling of a point on the curve; the law is :func:`_double_jac`."""
-    p, a, _, _ = curve._law
-    return _from_jac(_double_jac(_lift(_enter(point, curve)), p, a), curve)
+    """Total doubling, P + P; :func:`_add_jac` sends it to :func:`_double_jac`."""
+    return point_add(point, point, curve)
 
 
 def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:

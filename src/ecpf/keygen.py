@@ -5,8 +5,8 @@ behind ``secrets.randbits``, with rejection sampling: a uniform d in [1, n-1].
 Deterministic mode maps a caller-supplied seed through (seed mod (n-1)) + 1;
 it exists for reproducible tests only, is not uniform, and must never be
 used for production keys.  Q = d*G comes from the ladder.  On a validated
-curve, where n*G = O, it runs on d + n or d + 2n, whichever has one bit
-more than n, so every key costs the same number of ladder steps.
+curve, where n*G = O, it runs on the one k = d mod n in [2**L, 2**L + n),
+L the bit length of n, so every key costs the same number of ladder steps.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ def generate_keypair(
     d = random_scalar(curve.n, seed=seed, randbits=randbits)
     k = d
     if curve._validated:
-        n = curve.n.value
-        kv = d.value + n
-        k = MpInt(kv if kv >> n.bit_length() else kv + n, d.capacity)
+        top = 1 << curve.n.bit_length()
+        k = MpInt(top + (d.value - top) % curve.n.value, d.capacity)
     q = ladder(k, curve.g, curve)
     if q.is_infinity:
         raise ValidationError("d*G is the identity, so n is not the order of G")

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 import ecpf
-import ecpf.domain
 from ecpf.domain import _is_probable_prime, bundled_curve, parse_curve_file
 from ecpf.errors import ValidationError
+from ecpf.scalar_mul import ladder
 
 
 def test_library_import_leaves_cli_unloaded():
@@ -31,15 +31,8 @@ def test_cli_import_leaves_the_resource_machinery_unloaded():
     assert result.stdout == b"[]\n"
 
 
-def test_bundled_curve_is_validated_once(monkeypatch):
-    calls = []
-    ladder = ecpf.domain.ladder
-
-    def counted(k, point, curve):
-        calls.append(k)
-        return ladder(k, point, curve)
-
-    monkeypatch.setattr(ecpf.domain, "ladder", counted)
+def test_bundled_curve_is_validated_once(count_calls):
+    calls = count_calls(ladder)
     first = bundled_curve("p192")
     calls.clear()
     assert bundled_curve("p192") is first

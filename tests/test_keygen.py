@@ -9,7 +9,6 @@ import pytest
 
 import ecpf.domain
 import ecpf.keygen
-import ecpf.scalar_mul
 from ecpf.curve import INFINITY, CurveParams, _xadd, _xdbl, negate
 from ecpf.domain import load_curve_file, parse_curve_file
 from ecpf.errors import RandomnessError, RangeError, ValidationError
@@ -194,36 +193,30 @@ def test_sparse_sample_scalar_is_a_valid_key(p192):
     assert validate_public_key(pair.q, p192)
 
 
-def _ladder_calls(monkeypatch, q, curve):
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return ladder(*args)
-
-    monkeypatch.setattr(ecpf.keygen, "ladder", counting)
+def _ladder_calls(calls, q, curve):
+    calls.clear()
     assert validate_public_key(q, curve)
-    monkeypatch.undo()
-    return calls
+    return len(calls)
 
 
 def test_validate_public_key_skips_the_ladder_on_validated_prime_order_curves(
-    monkeypatch, smoke17, p192
+    count_calls, smoke17, p192
 ):
+    calls = count_calls(ladder)
     for curve in (smoke17, p192):
-        assert _ladder_calls(monkeypatch, curve.g, curve) == 0
+        assert _ladder_calls(calls, curve.g, curve) == 0
 
 
 def test_validate_public_key_keeps_the_ladder_on_unvalidated_curves(
-    monkeypatch, smoke17, p192
+    count_calls, smoke17, p192
 ):
     # the same parameters, but built outside the validator or copied from it
     rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
     assert rebuilt == smoke17
     copy = dataclasses.replace(p192, name="copy")
+    calls = count_calls(ladder)
     for curve in (rebuilt, copy):
-        assert _ladder_calls(monkeypatch, curve.g, curve) == 1
+        assert _ladder_calls(calls, curve.g, curve) == 1
 
 
 # Curve files that pass the validator, with their point counts #E = h*n:
@@ -280,7 +273,7 @@ def test_fixed_base_equals_the_ladder_for_every_scalar(text, order):
         assert as_xy(q) == oracle_mul_repeated(d, g_xy, p, a), d
 
 
-def test_fixed_base_equals_the_ladder_and_the_oracle_p192(p192):
+def test_keygen_equals_the_ladder_and_the_oracle_p192(p192):
     # key generation's d*G against the ladder and the oracle at the same d
     n = p192.n.value
     rng = random.Random(18)
@@ -297,25 +290,16 @@ def test_fixed_base_equals_the_ladder_and_the_oracle_p192(p192):
         assert as_xy(pair.q) == oracle_mul_binary(d, g_xy, P192, P192 - 3), d
 
 
-def test_keygen_formula_calls_are_uniform(monkeypatch):
-    calls = []
-
-    def counting(law):
-        def counted(*args):
-            calls.append(law)
-            return law(*args)
-
-        return counted
-
-    monkeypatch.setattr(ecpf.scalar_mul, "_xadd", counting(_xadd))
-    monkeypatch.setattr(ecpf.scalar_mul, "_xdbl", counting(_xdbl))
+def test_keygen_formula_calls_are_uniform(count_calls):
+    adds, dbls = count_calls(_xadd), count_calls(_xdbl)
 
     def assert_uniform(curve, seed):
         # the padded scalar has L + 1 bits: L steps after the setup doubling
         bits = curve.n.bit_length()
-        calls.clear()
+        adds.clear()
+        dbls.clear()
         generate_keypair(curve, seed=seed)
-        assert (calls.count(_xadd), calls.count(_xdbl)) == (bits, bits + 1), seed
+        assert (len(adds), len(dbls)) == (bits, bits + 1), seed
 
     smoke17, p192 = _fresh("smoke17"), _fresh("p192")
     for curve in (smoke17, p192):
@@ -328,16 +312,8 @@ def test_keygen_formula_calls_are_uniform(monkeypatch):
         assert_uniform(p192, seed)
 
 
-def test_keygen_inverts_once_per_key(monkeypatch):
-    calls = []
-
-    def counted(value, p):
-        calls.append(value)
-        return inverse_mod(value, p)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ecpf" and vars(module).get("inverse_mod") is inverse_mod:
-            monkeypatch.setattr(module, "inverse_mod", counted)
+def test_keygen_inverts_once_per_key(count_calls):
+    calls = count_calls(inverse_mod)
     p192 = _fresh("p192")
     for seed in (1, 2, 12345, p192.n.value - 2):
         calls.clear()
@@ -345,28 +321,45 @@ def test_keygen_inverts_once_per_key(monkeypatch):
         assert len(calls) == 1, seed
 
 
-def test_keygen_keeps_the_ladder_on_unvalidated_curves(monkeypatch, p192):
-    calls = []
+def _scalars(calls):
+    """The scalar k of each recorded ladder(k, point, curve) call."""
+    return [args[0].value for args in calls]
 
-    def counting(k, point, curve):
-        calls.append(k.value)
-        return ladder(k, point, curve)
 
-    monkeypatch.setattr(ecpf.keygen, "ladder", counting)
+def test_keygen_keeps_the_ladder_on_unvalidated_curves(count_calls, p192):
+    calls = count_calls(ladder)
     rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
     copy = dataclasses.replace(p192, name="copy")
     for curve in (rebuilt, copy):
         calls.clear()
         pair = generate_keypair(curve, seed=9)
-        assert calls == [pair.d.value] == [10]
+        assert _scalars(calls) == [pair.d.value] == [10]
         assert pair.q == ladder(pair.d, curve.g, curve)
     # the validated original pads d to L + 1 bits with n*G = O
     n = p192.n.value
     for seed, k in ((9, 10 + 2 * n), (n - 2, 2 * n - 1), (2**191, 2**191 + 1 + n)):
         calls.clear()
         pair = generate_keypair(p192, seed=seed)
-        assert calls == [k] and k.bit_length() == n.bit_length() + 1
+        assert _scalars(calls) == [k] and k.bit_length() == n.bit_length() + 1
         assert pair.q == ladder(pair.d, p192.g, p192)
+
+
+def test_keygen_padding_matches_the_two_case_rule(count_calls, p192):
+    # k = 2**L + (d - 2**L) mod n is the d + n or d + 2n with L + 1 bits:
+    # on P-192 at the switch d = 2**L - n and on either side, and every d
+    # of the sweep curves.
+    curves = [parse_curve_file(text) for text, _ in SWEEP_CURVES]
+    calls = count_calls(ladder)
+    switch = (1 << p192.n.bit_length()) - p192.n.value
+    cases = [(p192, switch - 1), (p192, switch), (p192, switch + 1)]
+    cases += [(curve, d) for curve in curves for d in range(1, curve.n.value)]
+    for curve, d in cases:
+        n, bits = curve.n.value, curve.n.bit_length()
+        calls.clear()
+        generate_keypair(curve, seed=d - 1)
+        old = d + n if d + n >= 1 << bits else d + 2 * n
+        (k,) = _scalars(calls)
+        assert k == old and k.bit_length() == bits + 1, (curve.name, d)
 
 
 def test_keygen_leaves_repr_eq_and_hash_unchanged():
