@@ -16,8 +16,8 @@ import sys
 from .curve import format_point, negate, parse_point, point_add, point_double
 from .domain import BUNDLED_CURVES, bundled_curve, format_curve_file, load_curve_file
 
-# parse_curve_file is not called here: tests and the ("ecpf.cli", ...)
-# wrappers of perfbench/tracing.py reach the loaders through this module.
+# parse_curve_file is not called here: its one reader is the ("ecpf.cli", ...)
+# wrapper of perfbench/tracing.py, which times curve loading through this name.
 from .domain import parse_curve_file
 from .errors import Error, RandomnessError, UsageError
 from .keygen import generate_keypair

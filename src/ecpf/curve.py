@@ -5,15 +5,15 @@ total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written twice on plain-int residues, each inverting once, at
-exit, in ``_from_xyz``.  Jacobian, on (X:Y:Z) = (X/Z**2, Y/Z**3) with O as
-Z = 0: ``_double_jac`` and ``_add_jac``, a mixed addition of an affine point
-that dispatches O, equal points and inverse points; ``point_add``,
-``point_double`` and ``double_and_add`` run it.  x-only, on (X:Z) = X/Z
-with O as (X:0): ``_xdbl``, ``_xadd`` of two points whose difference has a
-known x, and ``_xrecover``, y from the ladder's two registers; the ladder
-runs it.  ``AffinePoint`` with ``FieldElement`` coordinates and ``MpInt``
-values stay the public types: each operation converts only at entry,
+The law is written twice on plain-int residues, each inverting at most once, at
+exit, in ``_from_xyz``; not at all when the result is O.  Jacobian, on
+(X:Y:Z) = (X/Z**2, Y/Z**3) with O as Z = 0: ``_double_jac`` and ``_add_jac``, a
+mixed addition of an affine point that dispatches O, equal points and inverse
+points; ``point_add``, ``point_double`` and ``double_and_add`` run it.  x-only,
+on (X:Z) = X/Z with O as (X:0): ``_xdbl``, ``_xadd`` of two points whose
+difference has a known x, and ``_xrecover``, y from the ladder's two registers;
+the ladder runs it.  ``AffinePoint`` with ``FieldElement`` coordinates and
+``MpInt`` values stay the public types: each operation converts only at entry,
 through ``_enter``, which rejects a point off the curve, and at exit.
 """
 

@@ -10,9 +10,9 @@ the intermediate collisions with infinity that this produces).
 
 Both walks take an ``MpInt`` scalar and an ``AffinePoint`` and return an
 ``AffinePoint``, entering through the curve module's checked ``_enter``.
-Both invert once, at exit: the ladder runs the x-only law and recovers y
-from its two registers, the oracle runs the Jacobian law with case
-dispatch, so the two check different formulas against each other.
+Both invert at most once, at exit; not at all when the result is O.  The
+ladder runs the x-only law and recovers y from its two registers, the
+oracle the Jacobian law with case dispatch: each checks the other's formulas.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def ladder(
     second-highest down to bit 0, is one step with no branch on b:
     R[1-b] = R0 + R1, then R[b] = 2*R[b] (Joye-Yen, CHES 2002).  The pair's
     difference stays P throughout, so both run the x-only law on (X:Z),
-    and R0 is the result, its y recovered by ``_xrecover`` and inverted
-    once.  k = 0 and P = O yield O; every other k and P, k = 1 and a P of
+    and R0 is the result, its y recovered by ``_xrecover`` and inverted at
+    most once.  k = 0 and P = O yield O; every other k and P, k = 1 and a P of
     order 2 included, run these same steps.
     """
     xy = _enter(point, curve)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from ecpf.cli import bundled_curve, parse_curve_file
+from ecpf.domain import bundled_curve, parse_curve_file
 from helpers import T11_TEXT
 
 

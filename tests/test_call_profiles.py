@@ -1,31 +1,31 @@
-"""Complete int-law call profiles: one keypair, one key check, one curve load.
+"""Every pinned call count, in one table of complete int-law call profiles.
 
-Each function is counted at every ecpf module that binds it, so a call made
-through any import shows; a profile lists the functions that ran at all.
+Each row names its inputs, the action run on each and the profile expected
+of it: how many times each function of PROFILED ran, counted at every ecpf
+module that binds it, so a call made through any import shows.  A profile
+lists the functions that ran at all; a row with many inputs gives it as a
+rule of the input.  The actions call this module's own imports, which are
+not wrapped, so a row's top-level call is not counted; its calls are.
 """
 
+import dataclasses
 import os
+import random
 
 import pytest
 
 import ecpf.domain
-from ecpf.curve import _add_jac, _double_jac, _enter, _xadd, _xdbl, _xrecover
-from ecpf.domain import _is_probable_prime, parse_curve_file
+from ecpf.curve import CurveParams, _add_jac, _double_jac, _enter, _xadd, _xdbl, _xrecover
+from ecpf.curve import point_add, point_double
+from ecpf.domain import _is_probable_prime, bundled_curve, load_curve_file, parse_curve_file
 from ecpf.field import inverse_mod
 from ecpf.keygen import generate_keypair, validate_public_key
-from ecpf.scalar_mul import ladder
+from ecpf.scalar_mul import double_and_add, ladder
+from helpers import scalar
 
-PROFILED = (
-    _xadd,
-    _xdbl,
-    _xrecover,
-    _add_jac,
-    _double_jac,
-    _enter,
-    inverse_mod,
-    ladder,
-    _is_probable_prime,
-)
+PROFILED = (_xadd, _xdbl, _xrecover, _add_jac, _double_jac, _enter, inverse_mod, ladder,
+            _is_probable_prime)
+CURVES = os.path.join(os.path.dirname(ecpf.domain.__file__), "curves")
 
 
 @pytest.fixture
@@ -41,36 +41,155 @@ def profile(count_calls):
     return run
 
 
-def test_keypair_profile_p192(profile, p192):
-    # L = 192: the padded scalar has 193 bits, so 192 steps after the setup doubling
-    expected = {
-        "ladder": 1,
-        "_enter": 1,
-        "_xadd": 192,
-        "_xdbl": 193,
-        "_xrecover": 1,
-        "inverse_mod": 1,
-    }
-    for seed in (0, 12345, 2**191, p192.n.value - 2):
-        assert profile(lambda: generate_keypair(p192, seed=seed)) == expected, seed
+def fresh(name):
+    """A bundled curve read anew, not the process's cached copy."""
+    return load_curve_file(os.path.join(CURVES, f"{name}.curve"))
 
 
-def test_public_key_check_profile_p192(profile, p192):
+def p192():
+    return bundled_curve("p192")
+
+
+def keypair(curve, seed):
+    # the padded scalar has L + 1 bits: L steps after the setup doubling
+    bits = curve.n.bit_length()
+    return {"ladder": 1, "_enter": 1, "_xadd": bits, "_xdbl": bits + 1, "_xrecover": 1,
+            "inverse_mod": 1}
+
+
+def inverts(k, curve):
+    # every point of these rows has order n: k*P is O, and needs no inversion, when n | k
+    return {"inverse_mod": 1} if k.value % curve.n.value else {}
+
+
+def ladder_steps(k, point, curve):
+    # k = 0 returns at once; the setup doubling, then one addition and one doubling per bit
+    bits = k.value.bit_length()
+    if bits == 0:
+        return {"_enter": 1}
+    steps = {"_enter": 1, "_xadd": bits - 1, "_xdbl": bits, "_xrecover": 1}
+    return {name: count for name, count in steps.items() if count} | inverts(k, curve)
+
+
+def double_and_add_steps(k, point, curve):
+    # one doubling per bit and one addition per set bit
+    bits, ones = k.value.bit_length(), bin(k.value).count("1")
+    return {"_enter": 1, "_double_jac": bits, "_add_jac": ones} | inverts(k, curve)
+
+
+def order_check(q, curve):
+    # the on-curve check, then the n*Q ladder
+    return ladder_steps(curve.n, q, curve) | {"_enter": 2, "ladder": 1}
+
+
+def make_key(curve, seed):
+    generate_keypair(curve, seed=seed)
+
+
+def check_key(q, curve):
+    assert validate_public_key(q, curve)
+
+
+def load_again(curve):
+    assert bundled_curve(curve.name) is curve
+
+
+def keys(load, name, seeds):
+    def cases():
+        curve = load(name)
+        return [(curve, seed) for seed in seeds(curve.n.value)]
+
+    return cases
+
+
+def p192_seeds(n):
+    rng = random.Random(19)
+    return [0, 1, 2, 12345, 2**191, n - 2] + [rng.getrandbits(192) for _ in range(20)]
+
+
+def every_seed(n):
+    return range(1 << 10)
+
+
+def every_k(curve):
+    return [(scalar(curve, k), curve.g, curve) for k in range(1 << 10)]
+
+
+def seven_g(curve):
+    return ladder(scalar(curve, 7), curve.g, curve)
+
+
+def varbase():
+    """A 192-bit k on G and on 7*G."""
+    curve = p192()
+    k = scalar(curve, random.Random(5).getrandbits(192) | 1 << 191)
+    return [(k, curve.g, curve), (k, seven_g(curve), curve)]
+
+
+def validated():
+    smoke17, curve = bundled_curve("smoke17"), p192()
+    key = generate_keypair(curve, seed=12345).q
+    return [(smoke17.g, smoke17), (curve.g, curve), (key, curve)]
+
+
+def unvalidated():
+    # the parameters of smoke17 and P-192, built outside the validator or copied from it
+    curves = (CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1),
+              dataclasses.replace(p192(), name="copy"))
+    return [(curve.g, curve) for curve in curves]
+
+
+def read_p192():
+    with open(os.path.join(CURVES, "p192.curve"), encoding="ascii") as handle:
+        return [(handle.read(),)]
+
+
+ROWS = {
+    "keypair-p192": (keys(bundled_curve, "p192", p192_seeds), make_key, keypair),
+    "keypair-p192-fresh": (keys(fresh, "p192", p192_seeds), make_key, keypair),
+    "keypair-smoke17": (keys(bundled_curve, "smoke17", every_seed), make_key, keypair),
+    "keypair-smoke17-fresh": (keys(fresh, "smoke17", every_seed), make_key, keypair),
     # validated, h = 1: the on-curve check is the whole test
-    q = generate_keypair(p192, seed=12345).q
-    assert profile(lambda: validate_public_key(q, p192)) == {"_enter": 1}
-
-
-def test_curve_load_profile_p192(profile):
-    path = os.path.join(os.path.dirname(ecpf.domain.__file__), "curves", "p192.curve")
-    with open(path, encoding="ascii") as handle:
-        text = handle.read()
+    "check-key-validated": (validated, check_key, {"_enter": 1}),
+    "check-key-unvalidated": (unvalidated, check_key, order_check),
+    "ladder-smoke17-every-k": (lambda: every_k(bundled_curve("smoke17")), ladder, ladder_steps),
+    # y^2 = x^3 + 4x over GF(5), whose G = (0, 0) has order 2
+    "ladder-order-2-every-k": (
+        lambda: every_k(CurveParams.from_ints("tiny5", 5, 4, 0, 0, 0, 2, 4)),
+        ladder,
+        ladder_steps,
+    ),
+    "ladder-p192": (varbase, ladder, ladder_steps),
+    "double-and-add-p192": (varbase, double_and_add, double_and_add_steps),
+    "double-and-add-n-p192": (
+        lambda: [(p192().n, p192().g, p192())],
+        double_and_add,
+        {"_enter": 1, "_double_jac": 192, "_add_jac": 143},
+    ),
+    "point-add-p192": (
+        lambda: [(p192().g, seven_g(p192()), p192())],
+        point_add,
+        {"_enter": 2, "_add_jac": 1, "inverse_mod": 1},
+    ),
+    # point_add(P, P), which sends equal points to the doubling
+    "point-double-p192": (
+        lambda: [(seven_g(p192()), p192())],
+        point_double,
+        {"_enter": 2, "_add_jac": 1, "_double_jac": 1, "inverse_mod": 1},
+    ),
     # G's on-curve check and the n*G ladder, whose O result needs no inversion
-    assert profile(lambda: parse_curve_file(text)) == {
-        "_enter": 2,
-        "_is_probable_prime": 2,
-        "ladder": 1,
-        "_xadd": 191,
-        "_xdbl": 192,
-        "_xrecover": 1,
-    }
+    "parse-curve-file-p192": (
+        read_p192,
+        parse_curve_file,
+        {"_enter": 2, "_is_probable_prime": 2, "ladder": 1, "_xadd": 191, "_xdbl": 192,
+         "_xrecover": 1},
+    ),
+    "bundled-curve-cached": (lambda: [(p192(),)], load_again, {}),
+}
+
+
+@pytest.mark.parametrize("cases, action, expected", ROWS.values(), ids=ROWS)
+def test_call_profile(profile, cases, action, expected):
+    for case in cases():
+        want = expected(*case) if callable(expected) else expected
+        assert profile(lambda: action(*case)) == want, case

@@ -9,9 +9,9 @@ import pytest
 import ecpf
 import ecpf.cli
 import ecpf.domain
-from ecpf.cli import bundled_curve, load_curve_file, parse_curve_file, run
+from ecpf.cli import run
 from ecpf.curve import parse_point
-from ecpf.domain import format_curve_file
+from ecpf.domain import bundled_curve, format_curve_file, load_curve_file, parse_curve_file
 from ecpf.errors import FormatError, ParseError, RangeError, UsageError, ValidationError
 from helpers import T11_TEXT
 

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 import ecpf
-from ecpf.domain import _is_probable_prime, bundled_curve, parse_curve_file
+from ecpf.domain import _is_probable_prime, bundled_curve
 from ecpf.errors import ValidationError
-from ecpf.scalar_mul import ladder
 
 
 def test_library_import_leaves_cli_unloaded():
@@ -29,17 +28,6 @@ def test_cli_import_leaves_the_resource_machinery_unloaded():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"[]\n"
-
-
-def test_bundled_curve_is_validated_once(count_calls):
-    calls = count_calls(ladder)
-    first = bundled_curve("p192")
-    calls.clear()
-    assert bundled_curve("p192") is first
-    assert calls == []
-    # the wrapper sees the n*G check of every load that is not cached
-    parse_curve_file("name=s\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n")
-    assert len(calls) == 1
 
 
 def test_unknown_bundled_curve_is_rejected():

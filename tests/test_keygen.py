@@ -9,10 +9,10 @@ import pytest
 
 import ecpf.domain
 import ecpf.keygen
-from ecpf.curve import INFINITY, CurveParams, _xadd, _xdbl, negate
+from ecpf.curve import INFINITY, CurveParams, negate
 from ecpf.domain import load_curve_file, parse_curve_file
 from ecpf.errors import RandomnessError, RangeError, ValidationError
-from ecpf.field import P192, inverse_mod
+from ecpf.field import P192
 from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import ladder
@@ -193,32 +193,6 @@ def test_sparse_sample_scalar_is_a_valid_key(p192):
     assert validate_public_key(pair.q, p192)
 
 
-def _ladder_calls(calls, q, curve):
-    calls.clear()
-    assert validate_public_key(q, curve)
-    return len(calls)
-
-
-def test_validate_public_key_skips_the_ladder_on_validated_prime_order_curves(
-    count_calls, smoke17, p192
-):
-    calls = count_calls(ladder)
-    for curve in (smoke17, p192):
-        assert _ladder_calls(calls, curve.g, curve) == 0
-
-
-def test_validate_public_key_keeps_the_ladder_on_unvalidated_curves(
-    count_calls, smoke17, p192
-):
-    # the same parameters, but built outside the validator or copied from it
-    rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
-    assert rebuilt == smoke17
-    copy = dataclasses.replace(p192, name="copy")
-    calls = count_calls(ladder)
-    for curve in (rebuilt, copy):
-        assert _ladder_calls(calls, curve.g, curve) == 1
-
-
 # Curve files that pass the validator, with their point counts #E = h*n:
 # four of prime order (h = 1), three with h = 2 and one with h = 3.
 SWEEP_CURVES = [
@@ -262,7 +236,7 @@ def _fresh(name):
 @pytest.mark.parametrize(
     "text, order", SWEEP_CURVES, ids=[text.split("\n")[0][5:] for text, _ in SWEEP_CURVES]
 )
-def test_fixed_base_equals_the_ladder_for_every_scalar(text, order):
+def test_keygen_equals_the_ladder_for_every_scalar(text, order):
     # key generation's d*G for every d in [1, n-1], on curves with h = 1, 2 and 3
     curve = parse_curve_file(text)
     p, a = curve._law[:2]
@@ -290,45 +264,16 @@ def test_keygen_equals_the_ladder_and_the_oracle_p192(p192):
         assert as_xy(pair.q) == oracle_mul_binary(d, g_xy, P192, P192 - 3), d
 
 
-def test_keygen_formula_calls_are_uniform(count_calls):
-    adds, dbls = count_calls(_xadd), count_calls(_xdbl)
-
-    def assert_uniform(curve, seed):
-        # the padded scalar has L + 1 bits: L steps after the setup doubling
-        bits = curve.n.bit_length()
-        adds.clear()
-        dbls.clear()
-        generate_keypair(curve, seed=seed)
-        assert (len(adds), len(dbls)) == (bits, bits + 1), seed
-
-    smoke17, p192 = _fresh("smoke17"), _fresh("p192")
-    for curve in (smoke17, p192):
-        assert_uniform(curve, 1)  # a curve's first key costs no more
-        assert_uniform(curve, 1)
-    for seed in range(1 << 10):
-        assert_uniform(smoke17, seed)
-    rng = random.Random(19)
-    for seed in [0, 1, 2, p192.n.value - 2] + [rng.getrandbits(192) for _ in range(20)]:
-        assert_uniform(p192, seed)
-
-
-def test_keygen_inverts_once_per_key(count_calls):
-    calls = count_calls(inverse_mod)
-    p192 = _fresh("p192")
-    for seed in (1, 2, 12345, p192.n.value - 2):
-        calls.clear()
-        generate_keypair(p192, seed=seed)
-        assert len(calls) == 1, seed
-
-
 def _scalars(calls):
     """The scalar k of each recorded ladder(k, point, curve) call."""
     return [args[0].value for args in calls]
 
 
-def test_keygen_keeps_the_ladder_on_unvalidated_curves(count_calls, p192):
+def test_keygen_keeps_the_ladder_on_unvalidated_curves(count_calls, smoke17, p192):
     calls = count_calls(ladder)
+    # the same parameters, but built outside the validator or copied from it
     rebuilt = CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1)
+    assert rebuilt == smoke17
     copy = dataclasses.replace(p192, name="copy")
     for curve in (rebuilt, copy):
         calls.clear()
