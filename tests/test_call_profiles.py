@@ -128,8 +128,12 @@ def varbase():
 
 def validated():
     smoke17, curve = bundled_curve("smoke17"), p192()
-    key = generate_keypair(curve, seed=12345).q
-    return [(smoke17.g, smoke17), (curve.g, curve), (key, curve)]
+    return [(smoke17.g, smoke17), (curve.g, curve)]
+
+
+def p192_key():
+    curve = p192()
+    return [(generate_keypair(curve, seed=12345).q, curve)]
 
 
 def unvalidated():
@@ -151,6 +155,7 @@ ROWS = {
     "keypair-smoke17-fresh": (keys(fresh, "smoke17", every_seed), make_key, keypair),
     # validated, h = 1: the on-curve check is the whole test
     "check-key-validated": (validated, check_key, {"_enter": 1}),
+    "check-key-p192": (p192_key, check_key, {"_enter": 1}),
     "check-key-unvalidated": (unvalidated, check_key, order_check),
     "ladder-smoke17-every-k": (lambda: every_k(bundled_curve("smoke17")), ladder, ladder_steps),
     # y^2 = x^3 + 4x over GF(5), whose G = (0, 0) has order 2
