@@ -22,7 +22,7 @@ from .curve import (
 from .field import FieldElement, Modulus, P192
 from .keygen import KeyPair, generate_keypair, random_scalar, validate_public_key
 from .mpint import DEFAULT_CAPACITY, LIMB_BITS, MpInt, capacity_for_bits
-from .scalar_mul import OpCounter, double_and_add, ladder
+from .scalar_mul import double_and_add, ladder
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "LIMB_BITS",
     "Modulus",
     "MpInt",
-    "OpCounter",
     "P192",
     "capacity_for_bits",
     "double_and_add",

@@ -152,7 +152,7 @@ def _lift(xy: tuple[int, int] | None) -> tuple[int, int, int]:
 
 
 def _double_jac(p1, p: int, a: int):
-    """Jacobian doubling for general a; 3M + 6S + 1m_a.
+    """Jacobian doubling for general a; 5M + 4S + 1m_a.
 
     Z3 = 2*Y1*Z1 is 0, which is O, for O and for a point with y = 0.
     """
@@ -212,7 +212,7 @@ def _xdbl(r, p: int, a: int, b4: int):
 
 
 def _xadd(r0, r1, xd: int, p: int, a: int, b4: int):
-    """x(R0 + R1) from R0, R1 and xd = x(R1 - R0); 5M + 2S + 1m_a + 1m_b + 1m_xd.
+    """x(R0 + R1) from R0, R1 and xd = x(R1 - R0); 6M + 1S + 1m_a + 1m_b + 1m_xd.
 
     Brier-Joye's additive form, x(R0 + R1) + xd = (2(x0 + x1)(x0*x1 + a) +
     4b) / (x0 - x1)**2, projectively.  Exact whenever R1 - R0 is not O: an

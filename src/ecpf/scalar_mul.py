@@ -17,28 +17,12 @@ oracle the Jacobian law with case dispatch: each checks the other's formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _double_jac
 from .curve import _enter, _from_jac, _from_xyz, _lift, _xadd, _xdbl, _xrecover
 from .mpint import MpInt
 
 
-@dataclass
-class OpCounter:
-    """Counts the ladder's loop-body operations (the setup doubling excluded)."""
-
-    adds: int = 0
-    doubles: int = 0
-
-
-def ladder(
-    k: MpInt,
-    point: AffinePoint,
-    curve: CurveParams,
-    *,
-    counter: OpCounter | None = None,
-) -> AffinePoint:
+def ladder(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
     """Montgomery-ladder scalar multiplication.
 
     Registers R0, R1 start as (P, 2P).  Each scalar bit b, from the
@@ -60,9 +44,6 @@ def ladder(
         bit = (kv >> i) & 1
         regs[1 - bit] = _xadd(regs[0], regs[1], x, p, a, b4)
         regs[bit] = _xdbl(regs[bit], p, a, b4)
-        if counter is not None:
-            counter.adds += 1
-            counter.doubles += 1
     return _from_xyz(_xrecover(xy, *regs, p, a, b), curve)
 
 

@@ -11,6 +11,13 @@ from ecpf.mpint import MpInt
 # digits than p = 0xb, and keys d >= 16 print wider than the field.
 T11_TEXT = "name=t11\np=0b\na=2\nb=4\ngx=0\ngy=2\nn=11\nh=1\n"
 
+# ``CurveParams.from_ints`` arguments of y^2 = x^3 + 4x over GF(5): 8 points,
+# G = (0, 0) of order 2, so n = 2 and h = 4.
+TINY5 = ("tiny5", 5, 4, 0, 0, 0, 2, 4)
+
+#: The order of the P-192 base point.
+N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831
+
 
 def oracle_add(P, Q, p, a):
     """Textbook affine chord-and-tangent addition; None is the identity."""

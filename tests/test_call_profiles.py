@@ -21,7 +21,7 @@ from ecpf.domain import _is_probable_prime, bundled_curve, load_curve_file, pars
 from ecpf.field import inverse_mod
 from ecpf.keygen import generate_keypair, validate_public_key
 from ecpf.scalar_mul import double_and_add, ladder
-from helpers import scalar
+from helpers import TINY5, scalar
 
 PROFILED = (_xadd, _xdbl, _xrecover, _add_jac, _double_jac, _enter, inverse_mod, ladder,
             _is_probable_prime)
@@ -160,7 +160,7 @@ ROWS = {
     "ladder-smoke17-every-k": (lambda: every_k(bundled_curve("smoke17")), ladder, ladder_steps),
     # y^2 = x^3 + 4x over GF(5), whose G = (0, 0) has order 2
     "ladder-order-2-every-k": (
-        lambda: every_k(CurveParams.from_ints("tiny5", 5, 4, 0, 0, 0, 2, 4)),
+        lambda: every_k(CurveParams.from_ints(*TINY5)),
         ladder,
         ladder_steps,
     ),

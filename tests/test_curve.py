@@ -21,6 +21,8 @@ from ecpf.field import P192, Modulus
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import double_and_add, ladder
 from helpers import (
+    N192,
+    TINY5,
     as_xy,
     enumerate_points,
     mk_point,
@@ -31,9 +33,6 @@ from helpers import (
 
 
 SWEEP_PRIMES = (3, 5, 7, 11, 13)
-
-#: The order of the P-192 base point.
-N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +121,7 @@ def test_point_double_examples(smoke17):
 
 def test_double_with_zero_ordinate():
     # (0,0) sits on y^2 = x^3 + 4x over GF(5); its tangent is vertical
-    tiny = CurveParams.from_ints("tiny5", 5, 4, 0, 0, 0, 2, 4)
+    tiny = CurveParams.from_ints(*TINY5)
     assert point_double(tiny.g, tiny).is_infinity
     assert point_add(tiny.g, tiny.g, tiny).is_infinity
 

@@ -17,6 +17,7 @@ from ecpf.keygen import generate_keypair, random_scalar, validate_public_key
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import ladder
 from helpers import (
+    TINY5,
     as_xy,
     enumerate_points,
     mk_point,
@@ -178,7 +179,7 @@ def test_validate_public_key_examples(smoke17):
 def test_validate_public_key_rejects_wrong_subgroup():
     # y^2 = x^3 + 4x over GF(5) has 8 points; (0,0) generates the order-2
     # subgroup while (2,1) has order 4, so it must fail the order check.
-    tiny = CurveParams.from_ints("tiny5", 5, 4, 0, 0, 0, 2, 4)
+    tiny = CurveParams.from_ints(*TINY5)
     outside = mk_point(tiny, (2, 1))
     assert not validate_public_key(outside, tiny)
     two_torsion = mk_point(tiny, (4, 0))

@@ -16,9 +16,8 @@ from ecpf.errors import Error  # noqa: E402
 from ecpf.field import P192  # noqa: E402
 from ecpf.keygen import generate_keypair, validate_public_key  # noqa: E402
 from ecpf.scalar_mul import ladder  # noqa: E402
-from helpers import as_xy, scalar  # noqa: E402
+from helpers import N192, as_xy, scalar  # noqa: E402
 
-N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831
 #: Key generation runs the ladder on d + n from here up, on d + 2n below.
 PAD_SWITCH = 0x662107C9EB94364E4B2DD7CF
 

@@ -5,7 +5,7 @@ import pytest
 from ecpf.curve import INFINITY, CurveParams, negate, point_add, point_double
 from ecpf.errors import DomainError
 from ecpf.field import P192
-from ecpf.scalar_mul import OpCounter, double_and_add, ladder
+from ecpf.scalar_mul import double_and_add, ladder
 from helpers import (
     as_xy,
     enumerate_points,
@@ -105,14 +105,6 @@ def test_scalars_beyond_order_not_reduced(smoke17):
     assert ladder(scalar(smoke17, 20), g, smoke17) == g
     assert ladder(scalar(smoke17, 18), g, smoke17) == negate(g)
     assert as_xy(ladder(scalar(smoke17, 57), g, smoke17)) is None  # 3n
-
-
-def test_ladder_counter_untouched_for_degenerate_scalars(smoke17):
-    g = mk_point(smoke17, (5, 1))
-    for k in (0, 1):
-        counter = OpCounter()
-        ladder(scalar(smoke17, k), g, smoke17, counter=counter)
-        assert counter.adds == 0 and counter.doubles == 0
 
 
 def test_linearity_small_curve(smoke17):
