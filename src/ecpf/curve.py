@@ -19,25 +19,23 @@ through ``_enter``, which rejects a point off the curve, and at exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ContextError, DomainError, ParseError, ValidationError
 from .field import FieldElement, Modulus, inverse_mod
-from .mpint import MpInt
+from .mpint import Frozen, MpInt
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePoint:
+class AffinePoint(Frozen):
     """Either the point at infinity (no coordinates) or a finite pair (x, y)."""
 
-    x: FieldElement | None = None
-    y: FieldElement | None = None
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: FieldElement | None = None, y: FieldElement | None = None):
+        if (x is None) != (y is None):
             raise ValidationError("a finite point needs both coordinates")
-        if self.x is not None and self.x.modulus != self.y.modulus:
+        if x is not None and x.modulus is not y.modulus and x.modulus != y.modulus:
             raise ContextError("point coordinates from different modulus contexts")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:
@@ -53,31 +51,26 @@ class AffinePoint:
 INFINITY = AffinePoint()
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """A validated short-Weierstrass curve with base point and group order."""
+class CurveParams(Frozen):
+    """A validated short-Weierstrass curve with base point and group order.
 
-    name: str
-    modulus: Modulus
-    a: FieldElement
-    b: FieldElement
-    g: AffinePoint
-    n: MpInt
-    h: MpInt
-    #: (p, a, b, 4*b mod p) as ints, derived once for the int law.
-    _law: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
-    #: True only when ``domain.parse_curve_file`` proved the domain, #E = h*n;
-    #: ``from_ints`` and ``dataclasses.replace`` leave it False.
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
+    ``_law`` is (p, a, b, 4*b mod p) as ints, for the int law.  ``_validated`` is
+    True only once ``domain.parse_curve_file`` has proved #E = h*n; the constructor
+    and ``from_ints`` leave it False.  Equality and the repr see neither.
+    """
 
-    def __post_init__(self):
-        for coeff in (self.a, self.b):
-            if coeff.modulus != self.modulus:
+    __slots__ = ("name", "modulus", "a", "b", "g", "n", "h", "_law", "_validated")
+    _fields = __slots__[:7]
+
+    def __init__(self, name: str, modulus: Modulus, a: FieldElement, b: FieldElement,
+                 g: AffinePoint, n: MpInt, h: MpInt):
+        for coeff in (a, b):
+            if coeff.modulus != modulus:
                 raise ContextError("curve coefficients from a different modulus")
-        p, a, b = self.modulus.p.value, self.a.value.value, self.b.value.value
-        object.__setattr__(self, "_law", (p, a, b, 4 * b % p))
+        p, av, bv = modulus.p.value, a.value.value, b.value.value
+        self._bind(name, modulus, a, b, g, n, h, (p, av, bv, 4 * bv % p), False)
         # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
-        if p == 2 or (4 * a * a * a + 27 * b * b) % p == 0:
+        if p == 2 or (4 * av * av * av + 27 * bv * bv) % p == 0:
             raise ValidationError("curve is singular")
         if self.n.value < 2:
             raise ValidationError("base point order n must be at least 2")
@@ -90,15 +83,8 @@ class CurveParams:
     def from_ints(cls, name, p, a, b, gx, gy, n, h) -> "CurveParams":
         """Build and validate a curve from plain integer parameters."""
         m = Modulus.from_int(p)
-        return cls(
-            name=name,
-            modulus=m,
-            a=m.element(a),
-            b=m.element(b),
-            g=AffinePoint(m.element(gx), m.element(gy)),
-            n=MpInt(n, m.capacity),
-            h=MpInt(h, m.capacity),
-        )
+        a, b, g = m.element(a), m.element(b), AffinePoint(m.element(gx), m.element(gy))
+        return cls(name, m, a, b, g, MpInt(n, m.capacity), MpInt(h, m.capacity))
 
 
 def on_curve(point: AffinePoint, curve: CurveParams) -> bool:

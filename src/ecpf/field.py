@@ -10,40 +10,32 @@ CPython than a fold exploiting the shape of the 192-bit NIST prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ContextError, NoInverseError, RangeError
-from .mpint import MpInt, capacity_for_bits
+from .mpint import Frozen, MpInt, capacity_for_bits
 
 #: The NIST 192-bit prime, 2**192 - 2**64 - 1.
 P192 = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A prime modulus context, shareable and immutable."""
+class Modulus(Frozen):
+    """A prime modulus context, shareable and immutable.
 
-    p: MpInt
-    bits: int = field(init=False)
+    Derived once: ``capacity``, of the values parsed in this field (scalars,
+    seeds, n and h), and ``hex_width``, of its serialized elements.
+    """
 
-    def __post_init__(self):
-        if self.p.value < 2:
-            raise RangeError(f"modulus must be at least 2, got {self.p.value}")
-        object.__setattr__(self, "bits", self.p.bit_length())
+    __slots__ = ("p", "bits", "capacity", "hex_width")
+    _fields = ("p", "bits")
+
+    def __init__(self, p: MpInt):
+        if p.value < 2:
+            raise RangeError(f"modulus must be at least 2, got {p.value}")
+        bits = p.bit_length()
+        self._bind(p, bits, capacity_for_bits(bits), -(-bits // 4))
 
     @classmethod
     def from_int(cls, p: int) -> "Modulus":
         return cls(MpInt(p, capacity_for_bits(p.bit_length())))
-
-    @property
-    def capacity(self) -> int:
-        """Capacity of values parsed in this field: scalars, seeds, n and h."""
-        return capacity_for_bits(self.bits)
-
-    @property
-    def hex_width(self) -> int:
-        """Fixed hex-digit width of serialized elements."""
-        return -(-self.bits // 4)
 
     def hex(self, value: MpInt) -> str:
         """Lowercase hex, zero-padded to at least ``hex_width`` digits, never cut."""
@@ -54,8 +46,7 @@ class Modulus:
         return FieldElement(MpInt(value % self.p.value, self.capacity), self)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElement:
+class FieldElement(Frozen):
     """A canonical residue in [0, p) attached to its modulus context.
 
     Instances are immutable.  The arithmetic operators implement the field
@@ -65,13 +56,14 @@ class FieldElement:
     residue is reduced and wrapped.
     """
 
-    value: MpInt
-    modulus: Modulus
+    __slots__ = _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        value, p = self.value.value, self.modulus.p.value
-        if value >= p:
-            raise RangeError(f"residue {value} not canonical below {p}")
+    def __init__(self, value: MpInt, modulus: Modulus):
+        residue, p = value.value, modulus.p.value
+        if residue >= p:
+            raise RangeError(f"residue {residue} not canonical below {p}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def is_zero(self) -> bool:

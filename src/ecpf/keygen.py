@@ -11,13 +11,12 @@ L the bit length of n, so every key costs the same number of ladder steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import SystemRandom
 from types import SimpleNamespace
 
 from .curve import AffinePoint, CurveParams, on_curve
 from .errors import RandomnessError, RangeError, ValidationError
-from .mpint import MpInt
+from .mpint import Frozen, MpInt
 from .scalar_mul import ladder
 
 # Rejection sampling accepts with probability above 1/2 per draw, so this
@@ -28,13 +27,13 @@ _MAX_DRAWS = 4096
 secrets = SimpleNamespace(randbits=SystemRandom().getrandbits)
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Frozen):
     """A private scalar d in [1, n-1] with its public point Q = d*G."""
 
-    d: MpInt
-    q: AffinePoint
-    curve_name: str
+    __slots__ = _fields = ("d", "q", "curve_name")
+
+    def __init__(self, d: MpInt, q: AffinePoint, curve_name: str):
+        self._bind(d, q, curve_name)
 
     def serialize(self) -> str:
         """Two lines, "private=<hex>" and "public=<x-hex>,<y-hex>".

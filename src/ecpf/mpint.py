@@ -11,7 +11,7 @@ accept: scalars, seeds, n and h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import total_ordering
 from string import hexdigits
 
 from .errors import ParseError, RangeError
@@ -27,18 +27,52 @@ def capacity_for_bits(bits: int) -> int:
     return 2 * bits + LIMB_BITS
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MpInt:
+class Frozen:
+    """Base of the immutable value types: each slot is bound once, on construction.
+
+    Equality (same class only), hashing and the default repr see ``_fields``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # set by each subclass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _bind(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):  # pickle and copy: state is (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+@total_ordering
+class MpInt(Frozen):
     """An unsigned integer below ``2**capacity``, in canonical form.
 
     Equality, hashing and ordering see the value only, never the capacity.
     """
 
-    value: int
-    capacity: int = field(default=DEFAULT_CAPACITY, compare=False)
+    __slots__ = ("value", "capacity")
+    _fields = ("value",)
 
-    def __post_init__(self):
-        value, capacity = self.value, self.capacity
+    def __init__(self, value: int, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise RangeError(f"capacity must be positive, got {capacity}")
         if value < 0:
@@ -47,6 +81,8 @@ class MpInt:
             raise RangeError(
                 f"value of {value.bit_length()} bits exceeds capacity {capacity}"
             )
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "capacity", capacity)
 
     @classmethod
     def from_hex(cls, text: str, capacity: int = DEFAULT_CAPACITY) -> "MpInt":
@@ -76,6 +112,11 @@ class MpInt:
         if self.value > other.value:
             return 1
         return 0
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value < other.value
 
     def __int__(self) -> int:
         return self.value

@@ -8,7 +8,6 @@ rule of the input.  The actions call this module's own imports, which are
 not wrapped, so a row's top-level call is not counted; its calls are.
 """
 
-import dataclasses
 import os
 import random
 
@@ -137,9 +136,11 @@ def p192_key():
 
 
 def unvalidated():
-    # the parameters of smoke17 and P-192, built outside the validator or copied from it
+    # the parameters of smoke17 and P-192, built outside the validator: from ints,
+    # or from the validated curve's values
+    c = p192()
     curves = (CurveParams.from_ints("smoke17", 17, 2, 2, 5, 1, 19, 1),
-              dataclasses.replace(p192(), name="copy"))
+              CurveParams("copy", c.modulus, c.a, c.b, c.g, c.n, c.h))
     return [(curve.g, curve) for curve in curves]
 
 

@@ -19,15 +19,29 @@ def test_library_import_leaves_cli_unloaded():
     assert result.stdout == b"set()\n"
 
 
-def test_cli_import_leaves_the_resource_machinery_unloaded():
-    # -S: without site, nothing but ecpf can import these into the child.
-    # Bundled curves are read with open(), so a CLI call needs none of them.
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` ``python -S -c "import ecpf.cli"`` loads, sorted.
+
+    Without site, nothing but ecpf can import them into the child.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
-    heavy = "{'importlib.resources', 'pathlib', 'zipfile', 'tempfile'}"
-    code = f"import sys, ecpf.cli; print(sorted({heavy} & set(sys.modules)))"
+    code = f"import sys, ecpf.cli; print(*sorted({set(modules)!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == b"[]\n"
+    return result.stdout.decode().split()
+
+
+def test_cli_import_leaves_the_resource_machinery_unloaded():
+    # Bundled curves are read with open(), so a CLI call needs none of them.
+    heavy = ["importlib.resources", "pathlib", "zipfile", "tempfile"]
+    assert _loaded_by_cli_import(heavy) == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # The value types are plain slots classes: no class build runs dataclasses,
+    # and with it inspect and the source tools it pulls in.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    assert _loaded_by_cli_import(heavy) == []
 
 
 def test_unknown_bundled_curve_is_rejected():

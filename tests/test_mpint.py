@@ -84,7 +84,17 @@ def test_capacity_for_bits():
 def test_equality_ignores_capacity():
     assert MpInt(7, 8) == MpInt(7, 448)
     assert hash(MpInt(7, 8)) == hash(MpInt(7, 448))
+    assert len({MpInt(7, 8), MpInt(7, 16), MpInt(7)}) == 1
     assert MpInt(7) != MpInt(8)
+
+
+def test_mpint_orders_and_equals_only_mpints():
+    one = MpInt(1)
+    for compare in (lambda: one < 2, lambda: one <= 2, lambda: one > 2, lambda: one >= 2,
+                    lambda: 2 < one):
+        with pytest.raises(TypeError):
+            compare()
+    assert not one == 1 and one != 1
 
 
 values = st.integers(min_value=0, max_value=2**DEFAULT_CAPACITY - 1)
