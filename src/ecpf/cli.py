@@ -66,10 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> list[str]:
-    if args.curve is not None:
-        curve = bundled_curve(args.curve)
-    else:
-        curve = load_curve_file(args.curve_file)
+    curve = bundled_curve(args.curve) if args.curve else load_curve_file(args.curve_file)
     # After the curve, in table order: the first bad value is the one reported,
     # prefixed with its flag.
     values = []

@@ -5,8 +5,9 @@ total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written twice on plain-int residues, each inverting at most once, at
-exit, in ``_from_xyz``; not at all when the result is O.  Jacobian, on
+The law is written twice on plain-int residues, inverting only on the way out:
+once in ``_from_xyz``, not at all for O, or once for many points in
+``_to_affine``.  Jacobian, on
 (X:Y:Z) = (X/Z**2, Y/Z**3) with O as Z = 0: ``_double_jac`` and ``_add_jac``, a
 mixed addition of an affine point that dispatches O, equal points and inverse
 points; ``point_add``, ``point_double`` and ``double_and_add`` run it.  x-only,
@@ -54,9 +55,9 @@ INFINITY = AffinePoint()
 class CurveParams(Frozen):
     """A validated short-Weierstrass curve with base point and group order.
 
-    ``_law`` is (p, a, b, 4*b mod p) as ints, for the int law.  ``_validated`` is
-    True only once ``domain.parse_curve_file`` has proved #E = h*n; the constructor
-    and ``from_ints`` leave it False.  Equality and the repr see neither.
+    ``_law`` is (p, a, b, 4*b mod p) as ints for the int law, a nearest 0 (-3 on
+    P-192).  ``_validated`` is True once ``domain.parse_curve_file`` proved #E = h*n,
+    never from the constructor or ``from_ints``.  Equality and the repr see neither.
     """
 
     __slots__ = ("name", "modulus", "a", "b", "g", "n", "h", "_law", "_validated")
@@ -64,11 +65,11 @@ class CurveParams(Frozen):
 
     def __init__(self, name: str, modulus: Modulus, a: FieldElement, b: FieldElement,
                  g: AffinePoint, n: MpInt, h: MpInt):
-        for coeff in (a, b):
-            if coeff.modulus != modulus:
-                raise ContextError("curve coefficients from a different modulus")
+        if a.modulus != modulus or b.modulus != modulus:
+            raise ContextError("curve coefficients from a different modulus")
         p, av, bv = modulus.p.value, a.value.value, b.value.value
-        self._bind(name, modulus, a, b, g, n, h, (p, av, bv, 4 * bv % p), False)
+        law = (p, av - p if 2 * av > p else av, bv, 4 * bv % p)
+        self._bind(name, modulus, a, b, g, n, h, law, False)
         # In characteristic 2, 4a**3 + 27b**2 is b**2, yet every curve is singular.
         if p == 2 or (4 * av * av * av + 27 * bv * bv) % p == 0:
             raise ValidationError("curve is singular")
@@ -98,9 +99,7 @@ def on_curve(point: AffinePoint, curve: CurveParams) -> bool:
 
 def negate(point: AffinePoint) -> AffinePoint:
     """The additive inverse: O maps to O, (x, y) to (x, -y)."""
-    if point.is_infinity:
-        return point
-    return AffinePoint(point.x, -point.y)
+    return point if point.is_infinity else AffinePoint(point.x, -point.y)
 
 
 def point_add(p1: AffinePoint, p2: AffinePoint, curve: CurveParams) -> AffinePoint:
@@ -117,8 +116,7 @@ def point_double(point: AffinePoint, curve: CurveParams) -> AffinePoint:
 def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
     """The one way into the int law: a point's (x, y) residues, or None for O.
 
-    Raises ``ContextError`` for a point from another modulus context and
-    ``DomainError`` for a point off the curve.
+    Raises ``ContextError`` for another modulus context, ``DomainError`` off the curve.
     """
     if point.is_infinity:
         return None
@@ -138,15 +136,19 @@ def _lift(xy: tuple[int, int] | None) -> tuple[int, int, int]:
 
 
 def _double_jac(p1, p: int, a: int):
-    """Jacobian doubling for general a; 5M + 4S + 1m_a.
+    """Jacobian doubling: 5M + 4S + 1m_a, or 5M + 3S when a = -3.
 
-    Z3 = 2*Y1*Z1 is 0, which is O, for O and for a point with y = 0.
+    M = 3(X1 - Z1**2)(X1 + Z1**2) + (a + 3)Z1**4, whose last term a = -3 drops, so
+    the cost depends on the curve only.  Z3 = 2*Y1*Z1 is 0 (O) for O and for y = 0.
     """
     x1, y1, z1 = p1
     yy = y1 * y1 % p
     s = 4 * x1 * yy % p
     zz = z1 * z1 % p
-    m = (3 * x1 * x1 + a * (zz * zz % p)) % p
+    m = 3 * (x1 - zz) * (x1 + zz)
+    if a != -3:
+        m += (a + 3) * (zz * zz % p)
+    m %= p
     x3 = (m * m - 2 * s) % p
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y1 * z1 % p
 
@@ -182,6 +184,19 @@ def _from_jac(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
     x, y, z = xyz
     p = curve._law[0]
     return _from_xyz((x * z % p, y, z * z * z % p), curve)
+
+
+def _to_affine(points, p: int) -> list:
+    """Jacobian to affine (x, y), None for O, by Montgomery's trick (HMV Alg. 2.26)."""
+    heads = [1]
+    for _, _, z in points:
+        heads.append(heads[-1] * (z or 1) % p)
+    inv, out = inverse_mod(heads.pop(), p), []
+    for (x, y, z), head in zip(reversed(points), reversed(heads)):
+        zi, inv = inv * head % p, inv * (z or 1) % p
+        zz = zi * zi % p
+        out.append((x * zz % p, y * zz * zi % p) if z else None)
+    return out[::-1]
 
 
 def _xdbl(r, p: int, a: int, b4: int):

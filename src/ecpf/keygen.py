@@ -98,9 +98,7 @@ def validate_public_key(q: AffinePoint, curve: CurveParams) -> bool:
     Miller-Rabin on 13 fixed bases: a proof below 3.3e24, strong evidence
     above.  The curve is trusted input; Q is the untrusted one.
     """
-    if q.is_infinity:
-        return False
-    if not on_curve(q, curve):
+    if q.is_infinity or not on_curve(q, curve):
         return False
     if curve._validated and curve.h.value == 1:
         return True

@@ -12,10 +12,10 @@ accept: scalars, seeds, n and h.
 from __future__ import annotations
 
 from functools import total_ordering
-from string import hexdigits
 
 from .errors import ParseError, RangeError
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")  # string.hexdigits
 LIMB_BITS = 64
 
 #: Headroom for a 192-bit field: 2 * 192 + one limb.
@@ -90,7 +90,7 @@ class MpInt(Frozen):
         if not text:
             raise ParseError("empty hex string")
         for ch in text:
-            if ch not in hexdigits:
+            if ch not in _HEX_DIGITS:
                 raise ParseError(f"invalid hex character {ch!r}")
         return cls(int(text, 16), capacity)
 
@@ -107,11 +107,7 @@ class MpInt(Frozen):
 
     def compare(self, other: "MpInt") -> int:
         """-1, 0, or 1 as self is less than, equal to, or greater than other."""
-        if self.value < other.value:
-            return -1
-        if self.value > other.value:
-            return 1
-        return 0
+        return (self.value > other.value) - (self.value < other.value)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:

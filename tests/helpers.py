@@ -15,6 +15,21 @@ T11_TEXT = "name=t11\np=0b\na=2\nb=4\ngx=0\ngy=2\nn=11\nh=1\n"
 # G = (0, 0) of order 2, so n = 2 and h = 4.
 TINY5 = ("tiny5", 5, 4, 0, 0, 0, 2, 4)
 
+# Curve files that pass the validator, with their point counts #E = h*n:
+# four of prime order (h = 1), three with h = 2 and one with h = 3.
+SWEEP_CURVES = [
+    ("name=smoke17\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n", 19),
+    ("name=e23\np=17\na=01\nb=04\ngx=00\ngy=02\nn=1d\nh=01\n", 29),
+    ("name=e31\np=1f\na=00\nb=03\ngx=01\ngy=02\nn=2b\nh=01\n", 43),
+    ("name=e53\np=35\na=01\nb=08\ngx=01\ngy=0d\nn=3d\nh=01\n", 61),
+    ("name=h2\np=2f\na=01\nb=0b\ngx=07\ngy=13\nn=1d\nh=02\n", 58),
+    ("name=h2b\np=35\na=05\nb=01\ngx=2e\ngy=2b\nn=1f\nh=02\n", 62),
+    ("name=h3\np=97\na=01\nb=13\ngx=14\ngy=91\nn=35\nh=03\n", 159),
+    # at the edges of the order checks: n*n = 1681 just above 16p = 1616, and
+    # h*n = p + 1 - 20 with 2*sqrt(p) about 20.1
+    ("name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=02\n", 82),
+]
+
 #: The order of the P-192 base point.
 N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831
 

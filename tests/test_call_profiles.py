@@ -70,10 +70,26 @@ def ladder_steps(k, point, curve):
     return {name: count for name, count in steps.items() if count} | inverts(k, curve)
 
 
+def naf4(k):
+    """k's width-4 NAF, lowest digit first: each is 0 or odd in (-8, 8)."""
+    digits = []
+    while k:
+        digit = k % 16 if k % 2 else 0
+        digit -= 16 if digit > 8 else 0
+        digits.append(digit)
+        k = (k - digit) // 2
+    return digits
+
+
 def double_and_add_steps(k, point, curve):
-    # one doubling per bit and one addition per set bit
-    bits, ones = k.value.bit_length(), bin(k.value).count("1")
-    return {"_enter": 1, "_double_jac": bits, "_add_jac": ones} | inverts(k, curve)
+    # one doubling per NAF digit, then P + P, a doubling, in the table of 2P to 7P;
+    # one addition per nonzero digit and six for the table; the table's inversion,
+    # then the exit's
+    digits = naf4(k.value)
+    assert sum(d << i for i, d in enumerate(digits)) == k.value
+    nonzero = len(digits) - digits.count(0)
+    return {"_enter": 1, "_double_jac": len(digits) + 1, "_add_jac": nonzero + 6,
+            "inverse_mod": 1 + len(inverts(k, curve))}
 
 
 def order_check(q, curve):
@@ -167,10 +183,11 @@ ROWS = {
     ),
     "ladder-p192": (varbase, ladder, ladder_steps),
     "double-and-add-p192": (varbase, double_and_add, double_and_add_steps),
+    # n has 193 NAF digits, 21 of them nonzero; n*G is O, so only the table inverts
     "double-and-add-n-p192": (
         lambda: [(p192().n, p192().g, p192())],
         double_and_add,
-        {"_enter": 1, "_double_jac": 192, "_add_jac": 143},
+        {"_enter": 1, "_double_jac": 194, "_add_jac": 27, "inverse_mod": 1},
     ),
     "point-add-p192": (
         lambda: [(p192().g, seven_g(p192()), p192())],

@@ -44,6 +44,12 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert _loaded_by_cli_import(heavy) == []
 
 
+def test_cli_import_leaves_string_unloaded():
+    # from_hex checks digits against its own set: importing string compiles the
+    # regex of string.Template.
+    assert _loaded_by_cli_import(["string"]) == []
+
+
 def test_unknown_bundled_curve_is_rejected():
     with pytest.raises(ValidationError, match="no bundled curve named 'nope'"):
         bundled_curve("nope")

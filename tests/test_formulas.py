@@ -26,11 +26,12 @@ class _Vanish:
 
 
 def _claims(sp, rng):
-    """name -> (law, residuals): residuals(law) lists what must reduce to 0.
+    """name -> (law, residuals, a): residuals(law) lists what must reduce to 0.
 
     P = (x1, y1) and Q = (x2, y2) are generic points of y**2 = x**3 + a*x + b,
     entered on random projective representatives; each residual is a law's
-    output less the affine chord-and-tangent result.
+    output less the affine chord-and-tangent result.  a is the symbol a, or
+    the integer -3 for the doubling's specialisation to curves such as P-192.
     """
     a, b, x1, y1, x2, y2 = sp.symbols("a b x1 y1 x2 y2")
     p, lam, mu = _Vanish(), rng.randrange(2, 1 << 16), rng.randrange(2, 1 << 16)
@@ -58,26 +59,28 @@ def _claims(sp, rng):
         x, y, z = law((x1, y1), (lam * x2, lam), (mu * add[0], mu), p, a, b)
         return [x - x2 * z, y - y2 * z]
 
-    def jacobian(*args):  # no args: the doubling; (x2, y2): the addition of Q
+    def jacobian(*args, at=a):  # no args: the doubling; (x2, y2): the addition of Q
         def residuals(law):
-            x, y, z = law(jac, *args, p, a)
+            x, y, z = law(jac, *args, p, at)
             want = add if args else dbl
-            return [x - want[0] * z**2, y - want[1] * z**3]
+            return [(x - want[0] * z**2).subs(a, at), (y - want[1] * z**3).subs(a, at)]
 
         return residuals
 
+    minus3 = sp.Integer(-3)
     return {
-        "_xdbl": (_xdbl, xdbl),
-        "_xadd": (_xadd, xadd),
-        "_xrecover": (_xrecover, xrecover),
-        "_double_jac": (_double_jac, jacobian()),
-        "_add_jac": (_add_jac, jacobian((x2, y2))),
+        "_xdbl": (_xdbl, xdbl, a),
+        "_xadd": (_xadd, xadd, a),
+        "_xrecover": (_xrecover, xrecover, a),
+        "_double_jac": (_double_jac, jacobian(), a),
+        "_double_jac, a = -3": (_double_jac, jacobian(at=minus3), minus3),
+        "_add_jac": (_add_jac, jacobian((x2, y2)), a),
     }
 
 
-def _proved(sp, residuals):
-    """True iff every residual's numerator is 0 modulo both curve equations."""
-    a, b, x1, y1, x2, y2 = sp.symbols("a b x1 y1 x2 y2")
+def _proved(sp, residuals, a):
+    """True iff every residual's numerator is 0 modulo both equations of the curve of a."""
+    b, x1, y1, x2, y2 = sp.symbols("b x1 y1 x2 y2")
     for residual in residuals:
         num = sp.numer(sp.together(residual))
         for x, y in ((x1, y1), (x2, y2)):
@@ -104,9 +107,10 @@ def test_laws_are_proved_for_every_odd_p():
     """
     sp = pytest.importorskip("sympy")
     claims = _claims(sp, random.Random(9))
-    for name, (law, residuals) in claims.items():
-        assert _proved(sp, residuals(law)), name
-    assert not _proved(sp, claims["_xdbl"][1](_mutant_xdbl()))
+    for name, (law, residuals, a) in claims.items():
+        assert _proved(sp, residuals(law), a), name
+    _, xdbl, a = claims["_xdbl"]
+    assert not _proved(sp, xdbl(_mutant_xdbl()), a)
 
 
 class _Tally(int):
@@ -150,12 +154,14 @@ class _Tally(int):
         return _Tally(int(self) % int(modulus))
 
 
-#: (mul, sqr, const, mod) per call, on the generic path of each law.
+#: (mul, sqr, const, mod) per call, on the generic path of each law, and of the
+#: doubling also on a = -3, P-192's a as ``CurveParams._law`` holds it.
 COUNTS = {
     "_xadd": (9, 1, 1, 5),
     "_xdbl": (6, 3, 2, 7),
     "_xrecover": (12, 1, 2, 4),
     "_double_jac": (6, 4, 5, 8),
+    "_double_jac, a = -3": (5, 3, 5, 7),
     "_add_jac": (8, 3, 1, 9),
 }
 
@@ -169,25 +175,29 @@ def _tallied(value):
 def test_laws_count_their_operations_exactly():
     rng = random.Random(11)
     r = lambda: rng.randrange(1, P192)  # noqa: E731
-    p, a = P192, P192 - 3
+    p, a = P192, P192 - 3  # a general a: P-192's as a residue, not as -3
     calls = {
-        _xadd: ((r(), r()), (r(), r()), r(), p, a, r()),
-        _xdbl: ((r(), r()), p, a, r()),
-        _xrecover: ((r(), r()), (r(), r()), (r(), r()), p, a, r()),
-        _double_jac: ((r(), r(), r()), p, a),
-        _add_jac: ((r(), r(), r()), (r(), r()), p, a),
+        "_xadd": (_xadd, ((r(), r()), (r(), r()), r(), p, a, r())),
+        "_xdbl": (_xdbl, ((r(), r()), p, a, r())),
+        "_xrecover": (_xrecover, ((r(), r()), (r(), r()), (r(), r()), p, a, r())),
+        "_double_jac": (_double_jac, ((r(), r(), r()), p, a)),
+        "_double_jac, a = -3": (_double_jac, ((r(), r(), r()), p, -3)),
+        "_add_jac": (_add_jac, ((r(), r(), r()), (r(), r()), p, a)),
     }
-    for law, args in calls.items():
-        name = law.__name__
+    assert calls.keys() == COUNTS.keys()
+    for name, (law, args) in calls.items():
         _Tally.counts.clear()
         assert law(*_tallied(args)) == law(*args), name
         tally = _Tally.counts
         got = tally["mul"], tally["sqr"], tally["const"], tally["mod"]
         assert got == COUNTS[name], name
-        # Each docstring's cost, such as 4M + 3S + 1m_a + 1m_b, names every product:
-        # M and each m_* count as products, S as squares.
+        # Each docstring states a cost per row of its law, such as 4M + 3S + 1m_a +
+        # 1m_b, naming every product: M and each m_* count as products, S as squares.
+        # A row named after its law reads the first, the a = -3 row the second.
         doc = inspect.getdoc(law).splitlines()[0]
+        costs = re.findall(r"\d+(?:M|S|m_\w+)(?: \+ \d+(?:M|S|m_\w+))*", doc)
+        assert len(costs) == sum(row[0] is law for row in calls.values()), name
         stated = Counter()
-        for n, unit in re.findall(r"\b(\d+)(M|S|m_\w+)\b", doc):
+        for n, unit in re.findall(r"\b(\d+)(M|S|m_\w+)\b", costs[name != law.__name__]):
             stated["sqr" if unit == "S" else "mul"] += int(n)
         assert (stated["mul"], stated["sqr"]) == (tally["mul"], tally["sqr"]), name

@@ -29,6 +29,15 @@ def test_from_hex_rejects_bad_input():
         MpInt.from_hex("12 34")
 
 
+@pytest.mark.parametrize("text", ["1_0", " 1", "0x1", "\u0661"])
+def test_from_hex_rejects_what_int_accepts(text):
+    # int(text, 16) reads each of these as 16 or 1: an underscore, a space, a
+    # prefix and an ARABIC-INDIC DIGIT ONE; only the 22 ASCII hex digits pass.
+    assert int(text, 16) in (16, 1)
+    with pytest.raises(ParseError, match="invalid hex character"):
+        MpInt.from_hex(text)
+
+
 def test_from_hex_overflow():
     # 16**112 == 2**448 needs 449 bits
     with pytest.raises(RangeError):

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from ecpf.curve import INFINITY, CurveParams, negate, point_add, point_double
+from ecpf.domain import parse_curve_file
 from ecpf.errors import DomainError
 from ecpf.field import P192
 from ecpf.scalar_mul import double_and_add, ladder
 from helpers import (
+    SWEEP_CURVES,
     as_xy,
     enumerate_points,
     mk_point,
+    oracle_add,
     oracle_mul_binary,
     oracle_mul_repeated,
     scalar,
@@ -88,6 +91,43 @@ def test_ladder_edge_scalars_p192_other_point(p192):
         via_ladder = ladder(scalar(p192, k), q, p192)
         assert via_ladder == double_and_add(scalar(p192, k), q, p192), k
         assert as_xy(via_ladder) == oracle_mul_binary(k, q_xy, P192, P192 - 3), k
+
+
+def test_oracle_edge_scalars_p192(p192):
+    """The oracle's signed digits where they carry, run out or repeat.
+
+    2**i - 1 for i >= 4 recodes to a last digit -1 and a top digit 1 at bit i; each
+    192-bit pattern 0x55...5, 0xAA...A, 0x77...7 and 0x88...8 repeats one run of
+    digits to the end; and k about n and 2n end at O, -P or P.
+    """
+    n = p192.n.value
+    q_xy = oracle_mul_binary(7, as_xy(p192.g), P192, P192 - 3)
+    q = mk_point(p192, q_xy)
+    patterns = [int(digit * 48, 16) for digit in "5a78"]
+    for k in [2**i - 1 for i in range(1, 194)] + patterns + [n - 1, n, n + 1, 2 * n]:
+        via_daa = double_and_add(scalar(p192, k), q, p192)
+        assert via_daa == ladder(scalar(p192, k), q, p192), k
+        assert as_xy(via_daa) == oracle_mul_binary(k, q_xy, P192, P192 - 3), k
+
+
+COFACTOR_CURVES = [text for text, _ in SWEEP_CURVES if "\nh=01\n" not in text]
+
+
+@pytest.mark.parametrize(
+    "text", COFACTOR_CURVES, ids=[text.split("\n")[0][5:] for text in COFACTOR_CURVES]
+)
+def test_oracle_on_every_point_of_curves_with_cofactor(text):
+    # h = 2 and h = 3: points of order 2 make the table's even multiples O, and
+    # those of order 3 make its 3P O, which the oracle passes by as None.
+    curve = parse_curve_file(text)
+    p, a, b = curve._law[:3]
+    points = enumerate_points(p, a, b)
+    assert curve.h.value in (2, 3) and len(points) == curve.h.value * curve.n.value
+    for xy in points:
+        point, acc = mk_point(curve, xy), None
+        for k in range(3 * len(points)):
+            assert as_xy(double_and_add(scalar(curve, k), point, curve)) == acc, (xy, k)
+            acc = oracle_add(acc, xy, p, a)
 
 
 def test_random_equivalence_p192_against_oracle(p192):
