@@ -5,17 +5,17 @@ total: every exceptional coordinate collision (equal points, inverse points,
 identity operands, vertical tangents) is dispatched rather than treated as a
 failure.
 
-The law is written twice on plain-int residues, inverting only on the way out:
-once in ``_from_xyz``, not at all for O, or once for many points in
-``_to_affine``.  Jacobian, on
-(X:Y:Z) = (X/Z**2, Y/Z**3) with O as Z = 0: ``_double_jac`` and ``_add_jac``, a
-mixed addition of an affine point that dispatches O, equal points and inverse
-points; ``point_add``, ``point_double`` and ``double_and_add`` run it.  x-only,
-on (X:Z) = X/Z with O as (X:0): ``_xdbl``, ``_xadd`` of two points whose
-difference has a known x, and ``_xrecover``, y from the ladder's two registers;
-the ladder runs it.  ``AffinePoint`` with ``FieldElement`` coordinates and
-``MpInt`` values stay the public types: each operation converts only at entry,
-through ``_enter``, which rejects a point off the curve, and at exit.
+The law is written twice on plain-int residues, in two coordinate systems.
+Jacobian, on (X:Y:Z) = (X/Z**2, Y/Z**3) with O as Z = 0: ``_double_jac`` and
+``_add_jac``, a mixed addition of an affine point that dispatches O, equal points
+and inverse points; ``point_add``, ``point_double`` and ``double_and_add`` run it.
+x-only, on (X:Z) = X/Z with O as (X:0): ``_xdbl``, ``_xadd`` of two points whose
+difference has a known x, and ``_xrecover``, the Jacobian R0 from the ladder's two
+registers; the ladder runs it.  ``AffinePoint`` with ``FieldElement`` coordinates
+and ``MpInt`` values stay the public types.  A point comes in one way, ``_enter``,
+which rejects a point off the curve, and goes out one way, ``_from_jac``, whose Z
+``_to_affine`` inverts, the law's one inversion (none for O; ``NoInverseError``
+for a Z that is no unit, which only a composite p allows).
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def _add_jac(p1, xy, p: int, a: int):
 
 
 def _from_jac(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
-    """Back to affine: Jacobian (X:Y:Z) is projective (X*Z : Y : Z**3)."""
-    x, y, z = xyz
-    p = curve._law[0]
-    return _from_xyz((x * z % p, y, z * z * z % p), curve)
+    """The one way out: Jacobian (X:Y:Z) to affine by :func:`_to_affine`, Z = 0 to O."""
+    if xyz[2] == 0:
+        return INFINITY
+    x, y = _to_affine([xyz], curve._law[0])[0]
+    return AffinePoint(curve.modulus.element(x), curve.modulus.element(y))
 
 
 def _to_affine(points, p: int) -> list:
@@ -227,7 +228,7 @@ def _xadd(r0, r1, xd: int, p: int, a: int, b4: int):
 
 
 def _xrecover(xy, r0, r1, p: int, a: int, b: int):
-    """(X:Y:Z) of R0 from P = xy and the x-only R0, R1 = R0 + P; 12M + 1S.
+    """Jacobian (X:Y:Z) of R0 from P = xy and the x-only R0, R1 = R0 + P; 15M + 1S.
 
     Okeya, Sakurai (CHES 2001).  Z = 2*y*Z0**2*Z1 is 0, so O, if R0 = O or y = 0.
     """
@@ -236,17 +237,8 @@ def _xrecover(xy, r0, r1, p: int, a: int, b: int):
         return x, -y % p, 1
     t, u = 2 * y * z0 * z1 % p, x * z0
     y0 = (2 * b * z0 * z0 + (a * z0 + x * x0) * (u + x0)) * z1 - x1 * (u - x0) ** 2
-    return x0 * t % p, y0 % p, t * z0 % p
-
-
-def _from_xyz(xyz: tuple[int, int, int], curve: CurveParams) -> AffinePoint:
-    """Back to affine with the one inversion: (X:Y:Z) is (X/Z, Y/Z), Z = 0 is O."""
-    x, y, z = xyz
-    if z == 0:
-        return INFINITY
-    m, p = curve.modulus, curve._law[0]
-    zi = inverse_mod(z, p)
-    return AffinePoint(m.element(x * zi % p), m.element(y * zi % p))
+    z = t * z0 % p
+    return x0 * t * z % p, y0 * z * z % p, z
 
 
 def format_point(point: AffinePoint, curve: CurveParams) -> str:

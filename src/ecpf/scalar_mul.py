@@ -6,9 +6,9 @@ A signed-window double-and-add walk is kept as an independent oracle.  Scalars
 are plain unsigned integers, never reduced modulo the group order: k at or
 beyond it is computed faithfully, the total law absorbing the collisions with O.
 
-Both walks take an ``MpInt`` and an ``AffinePoint``, entering through the
-curve module's checked ``_enter``, and return an ``AffinePoint``.  The ladder
-runs the x-only law and recovers y from its two registers, the oracle the
+Both walks take an ``MpInt`` and an ``AffinePoint``, come in through the curve
+module's checked ``_enter`` and leave through its ``_from_jac``.  The ladder runs
+the x-only law and recovers a Jacobian R0 from its registers, the oracle the
 Jacobian law with case dispatch, so each checks the other's formulas.  Both
 invert once at exit, not at all for O; the oracle once more, for its table.
 """
@@ -16,7 +16,7 @@ invert once at exit, not at all for O; the oracle once more, for its table.
 from __future__ import annotations
 
 from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _double_jac
-from .curve import _enter, _from_jac, _from_xyz, _lift, _to_affine, _xadd, _xdbl, _xrecover
+from .curve import _enter, _from_jac, _lift, _to_affine, _xadd, _xdbl, _xrecover
 from .mpint import MpInt
 
 
@@ -41,7 +41,7 @@ def ladder(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:
         bit = (kv >> i) & 1
         regs[1 - bit] = _xadd(regs[0], regs[1], x, p, a, b4)
         regs[bit] = _xdbl(regs[bit], p, a, b4)
-    return _from_xyz(_xrecover(xy, *regs, p, a, b), curve)
+    return _from_jac(_xrecover(xy, *regs, p, a, b), curve)
 
 
 def double_and_add(k: MpInt, point: AffinePoint, curve: CurveParams) -> AffinePoint:

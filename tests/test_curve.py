@@ -15,8 +15,9 @@ from ecpf.curve import (
     point_add,
     point_double,
 )
-from ecpf.curve import _add_jac, _double_jac, _xadd, _xdbl
-from ecpf.errors import ContextError, DomainError, ParseError, ValidationError
+from ecpf.curve import _add_jac, _double_jac, _from_jac, _xadd, _xdbl
+from ecpf.errors import ContextError, DomainError, NoInverseError, ParseError
+from ecpf.errors import ValidationError
 from ecpf.field import P192, Modulus
 from ecpf.mpint import MpInt
 from ecpf.scalar_mul import double_and_add, ladder
@@ -124,6 +125,14 @@ def test_double_with_zero_ordinate():
     tiny = CurveParams.from_ints(*TINY5)
     assert point_double(tiny.g, tiny).is_infinity
     assert point_add(tiny.g, tiny.g, tiny).is_infinity
+
+
+def test_exit_rejects_a_z_that_is_no_unit():
+    # Only an unvalidated curve can have a composite p.  On y^2 = x^3 + x + 1 mod
+    # 25, (0,1) + (5,9) ends with Z = 5: Z**3 is 0 mod 25, yet Z is not, so no O.
+    c25 = CurveParams.from_ints("c25", 25, 1, 1, 0, 1, 7, 1)
+    with pytest.raises(NoInverseError):
+        point_add(mk_point(c25, (0, 1)), mk_point(c25, (5, 9)), c25)
 
 
 def test_closure_and_oracle_agreement(smoke17, smoke17_points):
@@ -328,10 +337,12 @@ def test_ladder_exit_when_the_next_multiple_is_o(p192):
 @example(a=0, b=N192 // 5, lam=5)
 @example(a=N192 // 7, b=0, lam=3)
 def test_jacobian_law_on_p192_multiples(p192, a, b, lam):
-    """Mixed addition and doubling on random representatives of multiples of G."""
+    """The Jacobian law and its exit on random representatives of multiples of G."""
     g = as_xy(p192.g)
     aG, bG = (oracle_mul_binary(k, g, P192, P192 - 3) for k in (a, b))
     P = lift_jacobian(aG, lam, P192)
+    assert _from_jac(P, p192) == mk_point(p192, aG)
+    assert _from_jac((P[0], P[1], 0), p192) is INFINITY
     got = _add_jac(P, bG, P192, P192 - 3)
     assert project_jacobian(got, P192) == oracle_add(aG, bG, P192, P192 - 3)
     doubled = _double_jac(P, P192, P192 - 3)

@@ -57,7 +57,7 @@ def _claims(sp, rng):
 
     def xrecover(law):  # R0 = Q, R1 = Q + P
         x, y, z = law((x1, y1), (lam * x2, lam), (mu * add[0], mu), p, a, b)
-        return [x - x2 * z, y - y2 * z]
+        return [x - x2 * z**2, y - y2 * z**3]
 
     def jacobian(*args, at=a):  # no args: the doubling; (x2, y2): the addition of Q
         def residuals(law):
@@ -159,7 +159,7 @@ class _Tally(int):
 COUNTS = {
     "_xadd": (9, 1, 1, 5),
     "_xdbl": (6, 3, 2, 7),
-    "_xrecover": (12, 1, 2, 4),
+    "_xrecover": (15, 1, 2, 4),
     "_double_jac": (6, 4, 5, 8),
     "_double_jac, a = -3": (5, 3, 5, 7),
     "_add_jac": (8, 3, 1, 9),
