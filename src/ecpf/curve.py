@@ -33,10 +33,9 @@ class AffinePoint(Frozen):
     def __init__(self, x: FieldElement | None = None, y: FieldElement | None = None):
         if (x is None) != (y is None):
             raise ValidationError("a finite point needs both coordinates")
-        if x is not None and x.modulus is not y.modulus and x.modulus != y.modulus:
-            raise ContextError("point coordinates from different modulus contexts")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        if x is not None:
+            x._require_same(y)
+        self._bind(x, y)
 
     @property
     def is_infinity(self) -> bool:
@@ -120,9 +119,7 @@ def _enter(point: AffinePoint, curve: CurveParams) -> tuple[int, int] | None:
     """
     if point.is_infinity:
         return None
-    m = point.x.modulus
-    if m is not curve.modulus and m != curve.modulus:
-        raise ContextError("point and curve from different modulus contexts")
+    point.x._require_same(curve.a)
     p, a, b, _ = curve._law
     x, y = point.x.value.value, point.y.value.value
     if (y * y - (x * x + a) * x - b) % p:

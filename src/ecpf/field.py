@@ -62,8 +62,7 @@ class FieldElement(Frozen):
         residue, p = value.value, modulus.p.value
         if residue >= p:
             raise RangeError(f"residue {residue} not canonical below {p}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
+        self._bind(value, modulus)
 
     @property
     def is_zero(self) -> bool:

@@ -18,19 +18,20 @@ from .errors import ParseError, RangeError
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")  # string.hexdigits
 LIMB_BITS = 64
 
-#: Headroom for a 192-bit field: 2 * 192 + one limb.
-DEFAULT_CAPACITY = 2 * 192 + LIMB_BITS
-
 
 def capacity_for_bits(bits: int) -> int:
     """Capacity of parsed values in a ``bits``-bit field: 2*bits plus one limb."""
     return 2 * bits + LIMB_BITS
 
 
-class Frozen:
-    """Base of the immutable value types: each slot is bound once, on construction.
+DEFAULT_CAPACITY = capacity_for_bits(192)  # headroom for a 192-bit field
 
-    Equality (same class only), hashing and the default repr see ``_fields``.
+
+class Frozen:
+    """Base of the immutable value types: ``_bind`` alone binds each slot, once.
+
+    ``domain.parse_curve_file``'s ``_validated`` is the one later write.  Equality
+    (same class only), hashing and the default repr see ``_fields``.
     """
 
     __slots__ = ()
@@ -46,8 +47,7 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def __setstate__(self, state):  # pickle and copy: state is (None, {slot: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._bind(*map(state[1].get, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -81,8 +81,7 @@ class MpInt(Frozen):
             raise RangeError(
                 f"value of {value.bit_length()} bits exceeds capacity {capacity}"
             )
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "capacity", capacity)
+        self._bind(value, capacity)
 
     @classmethod
     def from_hex(cls, text: str, capacity: int = DEFAULT_CAPACITY) -> "MpInt":

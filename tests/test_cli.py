@@ -256,6 +256,38 @@ def test_curve_info_p192(capsys):
     assert lines["h"] == "0" * 47 + "1"  # fixed field width
 
 
+G192 = "188da80eb03090f67cbf20eb43a18800f4ff0afd82ff1012"
+NEG_G192_Y = "f8e6d46a003725879cefee1294db32298c06885ee186b7ee"
+TWO_G192 = (
+    "dafebf5828783f2ad35534631588a3f629a70fb16982a888,"
+    "dd6bda0d993da0fa46b27bbc141b868f59331afa5c7e93ab"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # Key generation runs the ladder on d + 2n, L + 1 bits for d = 2.
+        (["keygen", "--curve", "p192", "--seed", "1"],
+         f"private={2:048x}\npublic={TWO_G192}\n"),
+        (["double", "--curve", "p192", "--point", "gen"], f"{TWO_G192}\n"),
+        (["add", "--curve", "p192", "--p1", "gen", "--p2", f"{G192},{NEG_G192_Y}"],
+         "infinity\n"),
+        # (n - 1)*G = -G ends the ladder with (k + 1)*P = O, its one exit branch.
+        (["mul", "--curve", "p192", "--scalar",
+          "ffffffffffffffffffffffff99def836146bc9b1b4d22830", "--point", "gen"],
+         f"{G192},{NEG_G192_Y}\n"),
+    ],
+    ids=["keygen", "double", "add", "mul"],
+)
+def test_p192_cli_results(capsys, argv, out):
+    # The same four results that CI byte-compares on the installed package.
+    assert run(argv) == 0
+    result = capsys.readouterr()
+    assert result.out == out
+    assert result.err == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["frobnicate"]) == 1

@@ -187,6 +187,23 @@ def test_point_from_another_modulus_is_rejected(smoke17):
             call()
 
 
+def test_point_over_an_equal_but_separate_modulus_is_accepted(smoke17):
+    # An equal Modulus is the same field: the field check compares by value.
+    m17 = Modulus.from_int(17)
+    assert m17 == smoke17.modulus and m17 is not smoke17.modulus
+    twin = AffinePoint(m17.element(5), m17.element(1))
+    good = mk_point(smoke17, (5, 1))
+    other = mk_point(smoke17, (6, 3))
+    k = MpInt(9, smoke17.modulus.capacity)
+    assert on_curve(twin, smoke17)
+    assert point_add(twin, other, smoke17) == point_add(good, other, smoke17)
+    assert point_add(other, twin, smoke17) == point_add(other, good, smoke17)
+    assert point_add(twin, twin, smoke17) == point_double(good, smoke17)
+    assert ladder(k, twin, smoke17) == ladder(k, good, smoke17)
+    assert double_and_add(k, twin, smoke17) == double_and_add(k, good, smoke17)
+    assert AffinePoint(m17.element(5), smoke17.modulus.element(1)) == good
+
+
 def test_curve_params_validation():
     with pytest.raises(ValidationError, match="singular"):
         CurveParams.from_ints("bad", 17, 0, 0, 5, 1, 19, 1)
