@@ -71,6 +71,53 @@ def oracle_mul_binary(k, P, p, a):
     return acc
 
 
+def oracle_cli_stdout(curve_text, command, options, private=None):
+    """The stdout of an ``ecpf`` command that succeeded, from ints only.
+
+    ``curve_text`` is the key=value file of the curve it ran on, and
+    ``options`` maps each option given (``"--seed"``, ``"--point"``, ...) to
+    its text.  An unseeded keygen draws its own d: pass the one it printed
+    as ``private``, and the answer checks that its public key is d*G.
+    """
+    curve = {}
+    for line in curve_text.splitlines():
+        key, _, value = line.strip().partition("=")
+        if key and not key.startswith("#"):
+            curve[key.strip()] = value.strip()
+    ints = {key: int(curve[key], 16) for key in ("p", "a", "b", "gx", "gy", "n", "h")}
+    p, a, n, g = ints["p"], ints["a"], ints["n"], (ints["gx"], ints["gy"])
+    width = len(f"{p:x}")
+
+    def point(text):
+        if text in ("gen", "infinity"):
+            return g if text == "gen" else None
+        return tuple(int(part, 16) for part in text.split(","))
+
+    def out(xy):
+        return "infinity" if xy is None else f"{xy[0]:0{width}x},{xy[1]:0{width}x}"
+
+    if command == "curve-info":
+        return f"name={curve['name']}\n" + "".join(f"{k}={v:0{width}x}\n" for k, v in ints.items())
+    if command == "check":
+        return "ok\n"
+    if command == "keygen":
+        seed = options.get("--seed")
+        d = private if seed is None else int(seed, 16) % (n - 1) + 1
+        assert 1 <= d < n, d
+        return f"private={d:0{width}x}\npublic={out(oracle_mul_binary(d, g, p, a))}\n"
+    if command == "negate":
+        xy = point(options["--point"])
+        return out(xy and (xy[0], -xy[1] % p)) + "\n"
+    if command == "double":
+        xy = point(options["--point"])
+        return out(oracle_add(xy, xy, p, a)) + "\n"
+    if command == "add":
+        return out(oracle_add(point(options["--p1"]), point(options["--p2"]), p, a)) + "\n"
+    assert command == "mul", command
+    k = int(options["--scalar"], 16)
+    return out(oracle_mul_binary(k, point(options["--point"]), p, a)) + "\n"
+
+
 def enumerate_points(p, a, b):
     """All solutions of y**2 = x**3 + a*x + b over GF(p), plus None for O."""
     points = [None]

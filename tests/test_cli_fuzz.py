@@ -1,8 +1,11 @@
-"""Property: no CLI input, however malformed, escapes ``run`` as an exception.
+"""Property: no CLI input, however malformed, escapes ``run`` as an exception,
+and every answer is right.
 
 Curve-file text and argv are drawn around smoke17-sized values, and ``run``
 is called in-process.  Every call must end with exit code 0-3 and a stderr
-that is empty on success and exactly one ``error:`` line otherwise.
+that is empty on success and exactly one ``error:`` line otherwise.  On
+success, stdout must equal the answer that ``helpers.oracle_cli_stdout``
+works out with ints from the same curve file and options.
 """
 
 import io
@@ -13,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecpf.cli import run
+from helpers import oracle_cli_stdout
 
 SMOKE17 = {
     "name": "smoke17",
@@ -24,6 +28,8 @@ SMOKE17 = {
     "n": "13",
     "h": "01",
 }
+
+SMOKE17_TEXT = "".join(f"{key}={value}\n" for key, value in SMOKE17.items())
 
 CURVE_FILE = "<curve-file>"
 
@@ -113,14 +119,23 @@ def curve_path(tmp_path_factory):
 @given(text=curve_texts(), argv=argvs())
 def test_cli_never_escapes(curve_path, text, argv):
     curve_path.write_text(text, encoding="utf-8")
-    argv = [str(curve_path) if arg == CURVE_FILE else arg for arg in argv]
+    args = [str(curve_path) if arg == CURVE_FILE else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
+        code = run(args)
     assert code in (0, 1, 2, 3)
     stderr = err.getvalue()
-    if code == 0:
-        assert stderr == ""
-    else:
+    if code != 0:
         assert stderr.startswith("error: ")
         assert stderr.endswith("\n") and stderr.count("\n") == 1
+        return
+    assert stderr == ""
+    if any(arg == "-h" or (len(arg) > 2 and "--help".startswith(arg)) for arg in argv):
+        return  # a stray token asked for help, and got usage
+    command = next(arg for arg in argv if arg in OPTIONS)
+    options = {arg: argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg.startswith("--")}
+    stdout, private = out.getvalue(), None
+    if command == "keygen" and "--seed" not in options:  # d was drawn: check its key
+        private = int(stdout.partition("\n")[0].removeprefix("private="), 16)
+    curve = text if CURVE_FILE in argv else SMOKE17_TEXT
+    assert stdout == oracle_cli_stdout(curve, command, options, private)
