@@ -3,13 +3,11 @@
 This module reads argv, dispatches to the library and writes the output:
 results to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage
 error or a failed write, 2 validation or domain error, 3 randomness failure.
-``_COMMANDS`` is the one place where commands and their options are declared:
-the parser and the conversion of each option's text both read it.
+``_COMMANDS`` declares every command and option: ``_parse`` reads it directly.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -43,35 +41,49 @@ _COMMANDS = {
     "curve-info": ("print curve parameters", []),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):  # argparse's own swallows a failed write
-        (file or sys.stdout).write(self.format_help())
+_CURVE = [  # one of the two selects the curve of every command; rows as in _COMMANDS
+    ("--curve", "{" + ",".join(BUNDLED_CURVES) + "}", False, "bundled curve name"),
+    ("--curve-file", "PATH", False, "key=value curve file"),
+]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ecpf", description="Elliptic-curve keys over GF(p)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, options) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_line)
-        group = cmd.add_mutually_exclusive_group(required=True)
-        group.add_argument("--curve", choices=BUNDLED_CURVES, help="bundled curve name")
-        group.add_argument("--curve-file", metavar="PATH", help="key=value curve file")
-        for flag, metavar, required, help_text in options:
-            cmd.add_argument(flag, metavar=metavar, required=required, help=help_text)
-    return parser
+def _parse(argv: list[str]) -> tuple[str | None, dict[str, str]]:
+    """The command and its options, ``{flag: text}``, or ``{"--help": ""}``."""
+    command, flags, values = (argv or [""])[0], argv[1::2], argv[2::2]  # flag, value, ...
+    if {"-h", "--help"} & {command, *flags}:
+        return (command if command in _COMMANDS else None), {"--help": ""}
+    if command not in _COMMANDS:
+        raise UsageError(f"expected a command: {', '.join(_COMMANDS)}")
+    table = _CURVE + _COMMANDS[command][1]
+    for flag in flags:
+        if flag not in [row[0] for row in table]:
+            raise UsageError(f"unrecognized arguments: {flag}")
+    if len(flags) > len(values):
+        raise UsageError(f"argument {flags[-1]}: expected one argument")
+    options = dict(zip(flags, values))
+    if missing := [flag for flag, _, required, _ in table if required and flag not in options]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if ("--curve" in options) == ("--curve-file" in options):
+        raise UsageError("expected exactly one of the arguments --curve --curve-file")
+    if options.get("--curve", BUNDLED_CURVES[0]) not in BUNDLED_CURVES:
+        raise UsageError(f"argument --curve: invalid choice: {options['--curve']!r}")
+    return command, options
 
 
-def _dispatch(args) -> list[str]:
-    curve = bundled_curve(args.curve) if args.curve else load_curve_file(args.curve_file)
+def _dispatch(command: str | None, options: dict[str, str]) -> list[str]:
+    if "--help" in options:  # the commands, or the options of this one
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+        if command:
+            rows = [(f"{f} {m}", text) for f, m, _, text in _CURVE + _COMMANDS[command][1]]
+        usage = f"usage: ecpf {command or 'COMMAND'} (--curve NAME | --curve-file PATH) ..."
+        return [usage, *(f"  {left:<26}{text or ''}".rstrip() for left, text in rows)]
+    name = options.get("--curve")
+    curve = bundled_curve(name) if name else load_curve_file(options["--curve-file"])
     # After the curve, in table order: the first bad value is the one reported,
     # prefixed with its flag.
     values = []
-    for flag, metavar, _, _ in _COMMANDS[args.command][1]:
-        text = getattr(args, flag[2:])
+    for flag, metavar, _, _ in _COMMANDS[command][1]:
+        text = options.get(flag)
         try:
             if text is None:
                 values.append(None)
@@ -81,7 +93,6 @@ def _dispatch(args) -> list[str]:
                 values.append(parse_point(text, curve))
         except Error as exc:
             raise type(exc)(f"{flag}: {exc}") from None
-    command = args.command
     if command == "keygen":
         return generate_keypair(curve, seed=values[0]).serialize().splitlines()
     if command == "curve-info":
@@ -97,9 +108,7 @@ def _dispatch(args) -> list[str]:
 def run(argv: list[str]) -> int:
     """Execute one command; returns the process exit code."""
     try:
-        lines = _dispatch(_build_parser().parse_args(argv))
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        lines = _dispatch(*_parse(argv))
     except Error as exc:
         # One line, even when the message quotes an argument with a newline.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)

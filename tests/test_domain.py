@@ -50,6 +50,12 @@ def test_cli_import_leaves_string_unloaded():
     assert _loaded_by_cli_import(["string"]) == []
 
 
+def test_cli_import_leaves_argparse_unloaded():
+    # The CLI parses argv against its own table: no argparse, and none of the
+    # modules that argparse imports.
+    assert _loaded_by_cli_import(["argparse", "gettext", "re", "enum"]) == []
+
+
 def test_unknown_bundled_curve_is_rejected():
     with pytest.raises(ValidationError, match="no bundled curve named 'nope'"):
         bundled_curve("nope")
