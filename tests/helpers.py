@@ -4,6 +4,9 @@ Everything here works on plain Python integers and never calls the library
 under test, so disagreements localize bugs on the library side.
 """
 
+from itertools import product
+from math import isqrt
+
 from ecpf.curve import INFINITY, AffinePoint
 from ecpf.mpint import MpInt
 
@@ -127,6 +130,43 @@ def enumerate_points(p, a, b):
             if y * y % p == rhs:
                 points.append((x, y))
     return points
+
+
+def is_prime(m):
+    """Primality by trial division."""
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def point_order(P, p, a):
+    """The order of the finite point P, by repeated ``oracle_add``."""
+    k, acc = 1, P
+    while acc is not None:
+        acc, k = oracle_add(acc, P, p, a), k + 1
+    return k
+
+
+def small_curve_files(max_p):
+    """(curve-file text, valid) over every nonsingular curve with prime 3 <= p < max_p.
+
+    G is each of the curve's first two finite points; n is each of ord G,
+    #E, ord G + 2 and 2*ord G; h is each of floor(#E/n), floor(#E/n) + 1 and
+    1 that is at least 1.  A text is valid when p and n are prime by trial
+    division, ord G = n, #E = h*n with #E counted, n != p and n*n > 16p.
+    """
+    for p in filter(is_prime, range(3, max_p)):
+        for a, b in product(range(p), repeat=2):
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            points = enumerate_points(p, a, b)
+            count = len(points)  # #E, with O
+            for g in points[1:3]:
+                order = point_order(g, p, a)
+                for n in {order, count, order + 2, 2 * order}:
+                    for h in {count // n, count // n + 1, 1} - {0}:
+                        exact = order == n and count == h * n  # p is prime already
+                        valid = exact and is_prime(n) and n != p and n * n > 16 * p
+                        text = f"name=c\np={p:x}\na={a:x}\nb={b:x}\ngx={g[0]:x}\ngy={g[1]:x}\n"
+                        yield f"{text}n={n:x}\nh={h:x}\n", valid
 
 
 def fermat_inverse(value, p):

@@ -231,10 +231,11 @@ CALLS = {
     ],
     "test_check_point_on_curve": [_call("check --point gen", 0, "ok\n")],
     "test_check_curve_mode": [_call("check", 0, "ok\n"), _call("check", 0, "ok\n", curve="p192")],
-    # The same four results that CI byte-compares on the installed package.
+    # P-192 results, checked with every other row on the installed package too.
     "test_p192_cli_results": {
         # Key generation runs the ladder on d + 2n, L + 1 bits for d = 2.
         "keygen": _call("keygen --seed 1", 0, f"private={2:048x}\npublic={TWO_G192}\n", curve="p192"),
+        # Doubling and addition leave through the same Jacobian exit: 2G, and G + (-G) = O.
         "double": _call("double --point gen", 0, f"{TWO_G192}\n", curve="p192"),
         "add": _call(f"add --p1 gen --p2 {G192},{NEG_G192_Y}", 0, "infinity\n", curve="p192"),
         # (n - 1)*G = -G ends the ladder with (k + 1)*P = O, its one exit branch.

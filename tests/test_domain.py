@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import ecpf
-from ecpf.domain import _is_probable_prime, bundled_curve
-from ecpf.errors import ValidationError
+from ecpf.domain import _is_probable_prime, bundled_curve, parse_curve_file
+from ecpf.errors import Error, ValidationError
+from helpers import small_curve_files
 
 
 def test_library_import_leaves_cli_unloaded():
@@ -31,29 +32,43 @@ def _loaded_by_cli_import(modules):
     return result.stdout.decode().split()
 
 
-def test_cli_import_leaves_the_resource_machinery_unloaded():
+# Modules that ``import ecpf.cli`` must not load: (reason, modules) rows.
+CLI_IMPORT_UNLOADED = {
     # Bundled curves are read with open(), so a CLI call needs none of them.
-    heavy = ["importlib.resources", "pathlib", "zipfile", "tempfile"]
-    assert _loaded_by_cli_import(heavy) == []
-
-
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    "the_resource_machinery": ("importlib.resources", "pathlib", "zipfile", "tempfile"),
     # The value types are plain slots classes: no class build runs dataclasses,
     # and with it inspect and the source tools it pulls in.
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
-    assert _loaded_by_cli_import(heavy) == []
-
-
-def test_cli_import_leaves_string_unloaded():
+    "dataclasses_and_inspect": ("dataclasses", "inspect", "ast", "dis", "tokenize"),
     # from_hex checks digits against its own set: importing string compiles the
     # regex of string.Template.
-    assert _loaded_by_cli_import(["string"]) == []
-
-
-def test_cli_import_leaves_argparse_unloaded():
+    "string": ("string",),
     # The CLI parses argv against its own table: no argparse, and none of the
     # modules that argparse imports.
-    assert _loaded_by_cli_import(["argparse", "gettext", "re", "enum"]) == []
+    "argparse": ("argparse", "gettext", "re", "enum"),
+}
+
+
+@pytest.mark.parametrize("modules", CLI_IMPORT_UNLOADED.values(), ids=list(CLI_IMPORT_UNLOADED))
+def test_cli_import_leaves_unloaded(modules):
+    assert _loaded_by_cli_import(modules) == []
+
+
+def test_validator_accepts_exactly_the_valid_small_curves():
+    # Every nonsingular curve over a prime 3 <= p < 32, with G, n and h around
+    # the true orders: the validator, which reasons through the Hasse interval
+    # and n > 4*sqrt(p), accepts a text exactly when the helpers, which count
+    # points and add G to itself, find it valid.
+    texts = accepted = 0
+    for text, valid in small_curve_files(32):
+        try:
+            parse_curve_file(text)
+        except Error:
+            assert not valid, text
+        else:
+            assert valid, text
+            accepted += 1
+        texts += 1
+    assert (texts, accepted) == (41653, 474)
 
 
 def test_unknown_bundled_curve_is_rejected():
