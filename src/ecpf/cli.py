@@ -8,6 +8,7 @@ error or a failed write, 2 validation or domain error, 3 randomness failure.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -121,6 +122,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """The process entry point: it freezes the heap; in-process callers use ``run``."""
+    gc.freeze()  # one command, then exit: nothing made at import ever needs collecting
     try:
         code = run(sys.argv[1:])
         if sys.stdout is not None:  # None when started with fd 1 closed

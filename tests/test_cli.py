@@ -1,4 +1,5 @@
 import errno
+import gc
 import os
 import subprocess
 import sys
@@ -453,6 +454,43 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
+
+
+# perfbench/peak_rss.py's pattern: a handler registered before ``python -m ecpf``
+# reads the process at exit, so it sees the exit only if main ends in SystemExit
+# (not os._exit, which skips atexit).
+_FREEZE_COUNT_AT_EXIT = """\
+import atexit, gc, runpy, sys
+out = sys.argv.pop(1)
+
+
+def report():
+    with open(out, "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+
+atexit.register(report)
+runpy.run_module("ecpf", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_freezes_the_heap_and_runs_atexit(tmp_path):
+    out = tmp_path / "freeze_count"
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+    args = ["keygen", "--curve", "smoke17", "--seed", "09"]
+    child = [sys.executable, "-c", _FREEZE_COUNT_AT_EXIT, str(out), *args]
+    result = subprocess.run(child, capture_output=True, env=env)
+    assert result.returncode == 0
+    assert result.stdout == b"private=0a\npublic=07,0b\n"
+    assert result.stderr == b""
+    assert out.exists(), "the atexit handler did not run"
+    assert int(out.read_text()) > 0
+
+
+def test_run_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(["curve-info", "--curve", "p192"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def _run_module_into(stdout, unbuffered, args=("curve-info", "--curve", "p192")):

@@ -296,6 +296,32 @@ def test_ladder_sweep_every_small_curve():
     assert (checks, x_zero, y_zero, even) == (160611, 334, 302, 212)
 
 
+def test_public_law_sweep_every_small_curve():
+    """double_and_add for every k <= #E + 1, point_add on every ordered pair and
+    point_double on every point, over every curve with a finite point and p < 12."""
+    curves = checks = pairs = doublings = 0
+    for p, a, b, points in small_curves():
+        if p >= 12 or len(points) == 1:
+            continue  # p = 13 is the ladder sweep's alone; O alone has no G
+        curves += 1
+        curve = CurveParams.from_ints("sweep", p, a, b, *points[1], 2, 1)
+        lifted = [mk_point(curve, xy) for xy in points]
+        for xy, point in zip(points, lifted):
+            acc = None
+            for k in range(len(points) + 2):
+                got = double_and_add(scalar(curve, k), point, curve)
+                assert as_xy(got) == acc, (p, a, b, xy, k)
+                acc = oracle_add(acc, xy, p, a)
+                checks += 1
+            assert as_xy(point_double(point, curve)) == oracle_add(xy, xy, p, a), (p, a, b, xy)
+            doublings += 1
+            for xy2, point2 in zip(points, lifted):
+                got = point_add(point, point2, curve)
+                assert as_xy(got) == oracle_add(xy, xy2, p, a), (p, a, b, xy, xy2)
+                pairs += 1
+    assert (curves, checks, pairs, doublings) == (177, 24543, 20945, 1799)
+
+
 def test_jacobian_law_sweep():
     rng = random.Random(2007)
     for p, a, b, points in small_curves():
