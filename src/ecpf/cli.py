@@ -6,8 +6,6 @@ error or a failed write, 2 validation or domain error, 3 randomness failure.
 ``_COMMANDS`` declares every command and option: ``_parse`` reads it directly.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

@@ -18,8 +18,6 @@ which rejects a point off the curve, and goes out one way, ``_from_jac``, whose 
 for a Z that is no unit, which only a composite p allows).
 """
 
-from __future__ import annotations
-
 from .errors import ContextError, DomainError, ParseError, ValidationError
 from .field import FieldElement, Modulus, inverse_mod
 from .mpint import Frozen, MpInt

@@ -10,8 +10,6 @@ per process; curve files are read on every call, because a file can change.
 ``format_curve_file`` writes the same format back.
 """
 
-from __future__ import annotations
-
 import os
 from functools import cache
 

@@ -8,8 +8,6 @@ reduction after products is generic division, which measured faster in
 CPython than a fold exploiting the shape of the 192-bit NIST prime.
 """
 
-from __future__ import annotations
-
 from .errors import ContextError, NoInverseError, RangeError
 from .mpint import Frozen, MpInt, capacity_for_bits
 

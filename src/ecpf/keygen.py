@@ -9,8 +9,6 @@ curve, where n*G = O, it runs on the one k = d mod n in [2**L, 2**L + n),
 L the bit length of n, so every key costs the same number of ladder steps.
 """
 
-from __future__ import annotations
-
 from random import SystemRandom
 from types import SimpleNamespace
 

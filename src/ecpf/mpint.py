@@ -9,8 +9,6 @@ built-in integer).  So no ``MpInt`` holds a product, and the capacity
 accept: scalars, seeds, n and h.
 """
 
-from __future__ import annotations
-
 from functools import total_ordering
 
 from .errors import ParseError, RangeError

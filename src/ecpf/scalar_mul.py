@@ -13,8 +13,6 @@ Jacobian law with case dispatch, so each checks the other's formulas.  Both
 invert once at exit, not at all for O; the oracle once more, for its table.
 """
 
-from __future__ import annotations
-
 from .curve import INFINITY, AffinePoint, CurveParams, _add_jac, _double_jac
 from .curve import _enter, _from_jac, _lift, _to_affine, _xadd, _xdbl, _xrecover
 from .mpint import MpInt

@@ -4,7 +4,6 @@ Everything here works on plain Python integers and never calls the library
 under test, so disagreements localize bugs on the library side.
 """
 
-from itertools import product
 from math import isqrt
 
 from ecpf.curve import INFINITY, AffinePoint
@@ -145,6 +144,15 @@ def point_order(P, p, a):
     return k
 
 
+def small_curves(primes):
+    """(p, a, b, points) for every nonsingular curve over GF(p), p in ``primes``."""
+    for p in primes:
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    yield p, a, b, enumerate_points(p, a, b)
+
+
 def small_curve_files(max_p):
     """(curve-file text, valid) over every nonsingular curve with prime 3 <= p < max_p.
 
@@ -153,20 +161,16 @@ def small_curve_files(max_p):
     1 that is at least 1.  A text is valid when p and n are prime by trial
     division, ord G = n, #E = h*n with #E counted, n != p and n*n > 16p.
     """
-    for p in filter(is_prime, range(3, max_p)):
-        for a, b in product(range(p), repeat=2):
-            if (4 * a**3 + 27 * b * b) % p == 0:
-                continue
-            points = enumerate_points(p, a, b)
-            count = len(points)  # #E, with O
-            for g in points[1:3]:
-                order = point_order(g, p, a)
-                for n in {order, count, order + 2, 2 * order}:
-                    for h in {count // n, count // n + 1, 1} - {0}:
-                        exact = order == n and count == h * n  # p is prime already
-                        valid = exact and is_prime(n) and n != p and n * n > 16 * p
-                        text = f"name=c\np={p:x}\na={a:x}\nb={b:x}\ngx={g[0]:x}\ngy={g[1]:x}\n"
-                        yield f"{text}n={n:x}\nh={h:x}\n", valid
+    for p, a, b, points in small_curves(filter(is_prime, range(3, max_p))):
+        count = len(points)  # #E, with O
+        for g in points[1:3]:
+            order = point_order(g, p, a)
+            for n in {order, count, order + 2, 2 * order}:
+                for h in {count // n, count // n + 1, 1} - {0}:
+                    exact = order == n and count == h * n  # p is prime already
+                    valid = exact and is_prime(n) and n != p and n * n > 16 * p
+                    text = f"name=c\np={p:x}\na={a:x}\nb={b:x}\ngx={g[0]:x}\ngy={g[1]:x}\n"
+                    yield f"{text}n={n:x}\nh={h:x}\n", valid
 
 
 def fermat_inverse(value, p):

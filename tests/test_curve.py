@@ -30,6 +30,7 @@ from helpers import (
     oracle_add,
     oracle_mul_binary,
     scalar,
+    small_curves,
 )
 
 
@@ -39,15 +40,6 @@ SWEEP_PRIMES = (3, 5, 7, 11, 13)
 @pytest.fixture(scope="module")
 def smoke17_points(smoke17):
     return [mk_point(smoke17, xy) for xy in enumerate_points(17, 2, 2)]
-
-
-def small_curves():
-    """(p, a, b, points) for every nonsingular curve over GF(p), p in SWEEP_PRIMES."""
-    for p in SWEEP_PRIMES:
-        for a in range(p):
-            for b in range(p):
-                if (4 * a**3 + 27 * b * b) % p:
-                    yield p, a, b, enumerate_points(p, a, b)
 
 
 def lift_x(xy, lam, p):
@@ -278,7 +270,7 @@ def test_parse_point_errors(smoke17):
 def test_ladder_sweep_every_small_curve():
     """Every point of every nonsingular small curve, for every k < 3*#E."""
     checks = x_zero = y_zero = even = 0
-    for p, a, b, points in small_curves():
+    for p, a, b, points in small_curves(SWEEP_PRIMES):
         if len(points) == 1:
             continue  # O alone: no finite G to build the curve on
         curve = CurveParams.from_ints("sweep", p, a, b, *points[1], 2, 1)
@@ -300,7 +292,7 @@ def test_public_law_sweep_every_small_curve():
     """double_and_add for every k <= #E + 1, point_add on every ordered pair and
     point_double on every point, over every curve with a finite point and p < 12."""
     curves = checks = pairs = doublings = 0
-    for p, a, b, points in small_curves():
+    for p, a, b, points in small_curves(SWEEP_PRIMES):
         if p >= 12 or len(points) == 1:
             continue  # p = 13 is the ladder sweep's alone; O alone has no G
         curves += 1
@@ -324,7 +316,7 @@ def test_public_law_sweep_every_small_curve():
 
 def test_jacobian_law_sweep():
     rng = random.Random(2007)
-    for p, a, b, points in small_curves():
+    for p, a, b, points in small_curves(SWEEP_PRIMES):
         for P in points:
             jac = lift_jacobian(P, rng.randrange(1, p), p)
             doubled = project_jacobian(_double_jac(jac, p, a), p)

@@ -45,6 +45,10 @@ CLI_IMPORT_UNLOADED = {
     # The CLI parses argv against its own table: no argparse, and none of the
     # modules that argparse imports.
     "argparse": ("argparse", "gettext", "re", "enum"),
+    # Annotations evaluate at import on the 3.10 floor, so PEP 563 does no work.
+    "pep563": ("__future__",),
+    # Unseeded keys come from random.SystemRandom: importing secrets would load OpenSSL.
+    "openssl": ("secrets", "hmac", "hashlib", "_hashlib"),
 }
 
 
