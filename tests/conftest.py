@@ -1,7 +1,10 @@
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import ecpf
 from ecpf.domain import bundled_curve, parse_curve_file
 from helpers import T11_TEXT
 
@@ -19,6 +22,13 @@ def p192():
 @pytest.fixture(scope="session")
 def t11():
     return parse_curve_file(T11_TEXT)
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child Python that imports the same ecpf as this
+    process, installed or not."""
+    return {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
 
 
 @pytest.fixture

@@ -13,6 +13,10 @@ from ecpf.mpint import MpInt
 # digits than p = 0xb, and keys d >= 16 print wider than the field.
 T11_TEXT = "name=t11\np=0b\na=2\nb=4\ngx=0\ngy=2\nn=11\nh=1\n"
 
+# The bundled smoke17 as a plain curve file: y^2 = x^3 + 2x + 2 over GF(17),
+# 19 points.
+SMOKE17_TEXT = "name=smoke17\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n"
+
 # ``CurveParams.from_ints`` arguments of y^2 = x^3 + 4x over GF(5): 8 points,
 # G = (0, 0) of order 2, so n = 2 and h = 4.
 TINY5 = ("tiny5", 5, 4, 0, 0, 0, 2, 4)
@@ -20,7 +24,7 @@ TINY5 = ("tiny5", 5, 4, 0, 0, 0, 2, 4)
 # Curve files that pass the validator, with their point counts #E = h*n:
 # four of prime order (h = 1), three with h = 2 and one with h = 3.
 SWEEP_CURVES = [
-    ("name=smoke17\np=11\na=02\nb=02\ngx=05\ngy=01\nn=13\nh=01\n", 19),
+    (SMOKE17_TEXT, 19),
     ("name=e23\np=17\na=01\nb=04\ngx=00\ngy=02\nn=1d\nh=01\n", 29),
     ("name=e31\np=1f\na=00\nb=03\ngx=01\ngy=02\nn=2b\nh=01\n", 43),
     ("name=e53\np=35\na=01\nb=08\ngx=01\ngy=0d\nn=3d\nh=01\n", 61),
@@ -31,6 +35,18 @@ SWEEP_CURVES = [
     # h*n = p + 1 - 20 with 2*sqrt(p) about 20.1
     ("name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=02\n", 82),
 ]
+
+# The CLI's options, command by command: [(flag, metavar, required)].
+XY = "X,Y|gen|infinity"
+COMMAND_OPTIONS = {
+    "keygen": [("--seed", "HEX", False)],
+    "mul": [("--scalar", "HEX", True), ("--point", XY, True)],
+    "add": [("--p1", XY, True), ("--p2", XY, True)],
+    "double": [("--point", XY, True)],
+    "negate": [("--point", XY, True)],
+    "check": [("--point", XY, False)],
+    "curve-info": [],
+}
 
 #: The order of the P-192 base point.
 N192 = 0xFFFFFFFFFFFFFFFFFFFFFFFF99DEF836146BC9B1B4D22831

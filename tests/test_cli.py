@@ -7,15 +7,15 @@ from pathlib import Path
 
 import pytest
 
-import ecpf
 import ecpf.cli
 import ecpf.domain
 from ecpf.cli import run
 from ecpf.curve import parse_point
 from ecpf.domain import bundled_curve, format_curve_file, load_curve_file, parse_curve_file
 from ecpf.errors import FormatError, ParseError, RangeError, UsageError, ValidationError
-from helpers import T11_TEXT
+from helpers import COMMAND_OPTIONS, T11_TEXT, XY
 
+# smoke17 with a comment line and a blank line, which the parser skips
 SMOKE17_TEXT = """\
 # comment line
 name=smoke17
@@ -62,122 +62,93 @@ def _table_test(check, rows):
     return test
 
 
-# Curve files that no command accepts: (content, exception, message) rows,
-# under the name of the test that checks them.  Bytes are written as they are.
+# Curve files that no command accepts: (content, exception, message) rows.
+# Bytes are written as they are.
 REJECTED = {
-    "test_parse_curve_file_missing_key": [(_smoke17("gy=01\n", ""), FormatError, "missing key gy")],
-    "test_parse_curve_file_duplicate_key": [(SMOKE17_TEXT + "b=03\n", FormatError, "duplicate key b")],
-    "test_parse_curve_file_unknown_key": [
-        (SMOKE17_TEXT + "q=03\n", FormatError, "line 11: unknown key q")
-    ],
-    "test_parse_curve_file_not_key_value": [
-        ("# header\nname=x\njunk\n", FormatError, "line 3: expected key=value")
-    ],
-    "test_parse_curve_file_empty_name": [
-        (_smoke17("name=smoke17", "name="), FormatError, "empty curve name")
-    ],
+    "missing-key": (_smoke17("gy=01\n", ""), FormatError, "missing key gy"),
+    "duplicate-key": (SMOKE17_TEXT + "b=03\n", FormatError, "duplicate key b"),
+    "unknown-key": (SMOKE17_TEXT + "q=03\n", FormatError, "line 11: unknown key q"),
+    "not-key-value": ("# header\nname=x\njunk\n", FormatError, "line 3: expected key=value"),
+    "empty-name": (_smoke17("name=smoke17", "name="), FormatError, "empty curve name"),
     # Bad hex, and hex past the capacity of p's context.
-    "test_parse_curve_file_bad_hex_reports_line": [
-        (_n("1g"), ParseError, "line 9: n: invalid hex character 'g'"),
-        (_n("f" * 40), RangeError, "line 9: n: value of 160 bits exceeds capacity 74"),
-    ],
+    "bad-hex": (_n("1g"), ParseError, "line 9: n: invalid hex character 'g'"),
+    "hex-over-capacity": (
+        _n("f" * 40), RangeError, "line 9: n: value of 160 bits exceeds capacity 74"
+    ),
     # Values are checked in key order, each parsed and range-checked in turn.
-    "test_curve_file_reports_its_first_bad_value": {
-        "residue-before-hex": (
-            _smoke17("a=02\nb=02", "a=99\nb=zz"), ValidationError, "a is not a canonical residue"
-        ),
-        "capacity-before-hex": (
-            _smoke17("n=13\nh=01", "n=" + "f" * 40 + "\nh=zz"),
-            RangeError, "line 9: n: value of 160 bits exceeds capacity 74",
-        ),
-    },
-    "test_parse_curve_file_non_canonical_coefficient": [
-        (_smoke17("a=02", "a=11"), ValidationError, "a is not a canonical residue")
-    ],
-    "test_parse_curve_file_off_curve_base_point": [
-        (_smoke17("gy=01", "gy=02"), ValidationError, "G not on curve")
-    ],
-    "test_bad_curve_file_exits_2": [(_smoke17("gx=05", "gx=06"), ValidationError, "G not on curve")],
-    "test_oversized_curve_file_exits_2": [
-        # a valid curve padded with comment lines past the 65536-byte bound
-        (SMOKE17_TEXT + "# padding\n" * 7000, FormatError, "curve file is larger than 65536 bytes"),
-        # the bound counts bytes: 75000 with CRLF line ends, 50000 characters without
-        (
-            (SMOKE17_TEXT + "#\n" * 25000).replace("\n", "\r\n").encode(),
-            FormatError, "curve file is larger than 65536 bytes",
-        ),
-    ],
+    "residue-before-hex": (
+        _smoke17("a=02\nb=02", "a=99\nb=zz"), ValidationError, "a is not a canonical residue"
+    ),
+    "capacity-before-hex": (
+        _smoke17("n=13\nh=01", "n=" + "f" * 40 + "\nh=zz"),
+        RangeError, "line 9: n: value of 160 bits exceeds capacity 74",
+    ),
+    "non-canonical-a": (_smoke17("a=02", "a=11"), ValidationError, "a is not a canonical residue"),
+    "gy-off-curve": (_smoke17("gy=01", "gy=02"), ValidationError, "G not on curve"),
+    "gx-off-curve": (_smoke17("gx=05", "gx=06"), ValidationError, "G not on curve"),
+    # a valid curve padded with comment lines past the 65536-byte bound
+    "oversized": (
+        SMOKE17_TEXT + "# padding\n" * 7000, FormatError, "curve file is larger than 65536 bytes"
+    ),
+    # the bound counts bytes: 75000 with CRLF line ends, 50000 characters without
+    "oversized-crlf": (
+        (SMOKE17_TEXT + "#\n" * 25000).replace("\n", "\r\n").encode(),
+        FormatError, "curve file is larger than 65536 bytes",
+    ),
     # The 1024-bit bound comes before primality: a 1024-bit p fails as composite.
-    "test_curve_file_with_p_over_1024_bits_exits_2": [
-        (_g01(f"{3 << 1100:x}"), ValidationError, "p is larger than 1024 bits"),
-        (_g01(f"{2**1024 - 1:x}"), ValidationError, "p is not prime"),
-    ],
-    "test_curve_file_over_gf2_exits_2": [
-        (_g01("02", n="05"), ValidationError, "curve is singular"),
-        # an even composite p still fails as composite
-        (_g01("04", n="05"), ValidationError, "p is not prime"),
-    ],
-    "test_curve_file_with_composite_field_exits_2": [
-        # Z/9 is not a field; p is checked before n, so with n = 8 too it fails on p
-        (_g01("09"), ValidationError, "p is not prime"),
-        (_g01("09", n="08"), ValidationError, "p is not prime"),
-        # 0xbfa17dc7 = 3215031751 = 151*751*28351, a strong pseudoprime to bases 2, 3, 5 and 7
-        (_g01("bfa17dc7"), ValidationError, "p is not prime"),
-        # 0x437ae92817f9fc85b7e5 = 399165290221*798330580441 (psi_12), a strong
-        # pseudoprime to every base up to 37: of the 13 bases, only 41 rejects it
-        (_g01("437ae92817f9fc85b7e5"), ValidationError, "p is not prime"),
-    ],
+    "p-over-1024-bits": (_g01(f"{3 << 1100:x}"), ValidationError, "p is larger than 1024 bits"),
+    "p-1024-bits": (_g01(f"{2**1024 - 1:x}"), ValidationError, "p is not prime"),
+    "p-2": (_g01("02", n="05"), ValidationError, "curve is singular"),
+    # an even composite p still fails as composite
+    "p-4": (_g01("04", n="05"), ValidationError, "p is not prime"),
+    # Z/9 is not a field; p is checked before n, so with n = 8 too it fails on p
+    "p-9": (_g01("09"), ValidationError, "p is not prime"),
+    "p-9-n-8": (_g01("09", n="08"), ValidationError, "p is not prime"),
+    # 0xbfa17dc7 = 3215031751 = 151*751*28351, a strong pseudoprime to bases 2, 3, 5 and 7
+    "p-spsp-2357": (_g01("bfa17dc7"), ValidationError, "p is not prime"),
+    # 0x437ae92817f9fc85b7e5 = 399165290221*798330580441 (psi_12), a strong
+    # pseudoprime to every base up to 37: of the 13 bases, only 41 rejects it
+    "p-psi12": (_g01("437ae92817f9fc85b7e5"), ValidationError, "p is not prime"),
     # y^2 = x^3 + 4x over GF(5) with the full 8-point group as "order"
-    "test_check_curve_mode_rejects_composite_order": [
-        ("name=tiny\np=05\na=04\nb=00\ngx=02\ngy=01\nn=08\nh=01\n", ValidationError, "n is not prime")
-    ],
-    "test_curve_file_with_composite_order_exits_2": [
-        # 0x26 = 38 = 2*19: G has order 19, so n*G = O yet n is not prime
-        (_n("26"), ValidationError, "n is not prime"),
-        # 0x6e3 = 1763 = 41*43 has no factor up to 37: a Miller-Rabin witness rejects it
-        (_n("6e3"), ValidationError, "n is not prime"),
-        # 0x351591274f9af9fb passes every base up to 31, and bases 37 and 41 both
-        # reject it: no row shows that base 37 is needed
-        (_n("351591274f9af9fb"), ValidationError, "n is not prime"),
-    ],
-    # Strong Lucas pseudoprimes, which base 2 rejects, and strong pseudoprimes
-    # to base 2, which a strong Lucas test rejects: a Baillie-PSW test must too.
-    "test_curve_file_with_a_pseudoprime_order_exits_2": {
-        str(n): (_n(f"{n:x}"), ValidationError, "n is not prime")
-        for n in (5459, 5777, 10877, 8321, 42799, 49141)
-    },
+    "n-8-over-gf5": (
+        "name=tiny\np=05\na=04\nb=00\ngx=02\ngy=01\nn=08\nh=01\n", ValidationError, "n is not prime"
+    ),
+    # 0x26 = 38 = 2*19: G has order 19, so n*G = O yet n is not prime
+    "n-38": (_n("26"), ValidationError, "n is not prime"),
+    # 0x6e3 = 1763 = 41*43 has no factor up to 37: a Miller-Rabin witness rejects it
+    "n-1763": (_n("6e3"), ValidationError, "n is not prime"),
+    # 0x351591274f9af9fb passes every base up to 31, and bases 37 and 41 both
+    # reject it: no row shows that base 37 is needed
+    "n-spsp-to-31": (_n("351591274f9af9fb"), ValidationError, "n is not prime"),
     # 0x11 = 17 is prime, but G has order 19
-    "test_curve_file_with_wrong_prime_order_exits_2": [
-        (_n("11"), ValidationError, "n*G is not the identity")
-    ],
-    "test_curve_file_failing_an_order_check_exits_2": {
-        # smoke17's group has 19 points: neither 0*19 nor 2*19 is in [10, 26]
-        "h0": (_smoke17("h=01", "h=00"), ValidationError, "h*n is outside the Hasse interval"),
-        "h2": (_smoke17("h=01", "h=02"), ValidationError, "h*n is outside the Hasse interval"),
-        # y^2 = x^3 + x + 3 over GF(17) has 17 points: an anomalous curve
-        "anomalous": (
-            "name=anom\np=11\na=01\nb=03\ngx=02\ngy=08\nn=11\nh=01\n", ValidationError, "n equals p"
-        ),
-        # y^2 = x^3 + 1 over GF(17): (0, 1) has order 3 in a group of 18
-        "small-n": (
-            "name=small\np=11\na=00\nb=01\ngx=00\ngy=01\nn=03\nh=06\n",
-            ValidationError, "n is not larger than 4*sqrt(p)",
-        ),
-        # e101 (82 points, n = 41) with h = 3: h*n = p + 1 + 21, 2*sqrt(p) < 21
-        "hasse-edge": (
-            "name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=03\n",
-            ValidationError, "h*n is outside the Hasse interval",
-        ),
-        # y^2 = x^3 + 1 over GF(101) has 102 points: n = 17 with 16 + p < n*n <= 16p
-        "sqrt-edge": (
-            "name=e101s\np=65\na=00\nb=01\ngx=4b\ngy=0a\nn=11\nh=06\n",
-            ValidationError, "n is not larger than 4*sqrt(p)",
-        ),
-    },
+    "n-17-wrong-order": (_n("11"), ValidationError, "n*G is not the identity"),
+    # smoke17's group has 19 points: neither 0*19 nor 2*19 is in [10, 26]
+    "h0": (_smoke17("h=01", "h=00"), ValidationError, "h*n is outside the Hasse interval"),
+    "h2": (_smoke17("h=01", "h=02"), ValidationError, "h*n is outside the Hasse interval"),
+    # y^2 = x^3 + x + 3 over GF(17) has 17 points: an anomalous curve
+    "anomalous": (
+        "name=anom\np=11\na=01\nb=03\ngx=02\ngy=08\nn=11\nh=01\n", ValidationError, "n equals p"
+    ),
+    # y^2 = x^3 + 1 over GF(17): (0, 1) has order 3 in a group of 18
+    "small-n": (
+        "name=small\np=11\na=00\nb=01\ngx=00\ngy=01\nn=03\nh=06\n",
+        ValidationError, "n is not larger than 4*sqrt(p)",
+    ),
+    # e101 (82 points, n = 41) with h = 3: h*n = p + 1 + 21, 2*sqrt(p) < 21
+    "hasse-edge": (
+        "name=e101\np=65\na=02\nb=00\ngx=46\ngy=59\nn=29\nh=03\n",
+        ValidationError, "h*n is outside the Hasse interval",
+    ),
+    # y^2 = x^3 + 1 over GF(101) has 102 points: n = 17 with 16 + p < n*n <= 16p
+    "sqrt-edge": (
+        "name=e101s\np=65\na=00\nb=01\ngx=4b\ngy=0a\nn=11\nh=06\n",
+        ValidationError, "n is not larger than 4*sqrt(p)",
+    ),
 }
 
 
-def _rejects(capsys, tmp_path, content, error, message):
+@pytest.mark.parametrize("content, error, message", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_curve_file(capsys, tmp_path, content, error, message):
     """``load_curve_file`` raises exactly ``error(message)``, and each command
     exits 2 with that message as its one error line."""
     path = tmp_path / "bad.curve"
@@ -190,7 +161,14 @@ def _rejects(capsys, tmp_path, content, error, message):
         _one_error(capsys, message)
 
 
-globals().update((name, _table_test(_rejects, rows)) for name, rows in REJECTED.items())
+# Strong Lucas pseudoprimes, which base 2 rejects, and strong pseudoprimes
+# to base 2, which a strong Lucas test rejects: a Baillie-PSW test must too.
+PSEUDOPRIME_ORDERS = (5459, 5777, 10877, 8321, 42799, 49141)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIME_ORDERS, ids=str)
+def test_curve_file_with_a_pseudoprime_order_exits_2(capsys, tmp_path, n):
+    test_rejected_curve_file(capsys, tmp_path, _n(f"{n:x}"), ValidationError, "n is not prime")
 
 
 def _call(argv, code, out, err="", curve="smoke17"):
@@ -401,18 +379,6 @@ def test_help_exits_0(capsys):
     assert "keygen" in capsys.readouterr().out
 
 
-XY = "X,Y|gen|infinity"
-COMMAND_OPTIONS = {  # command: [(flag, metavar, required)]
-    "keygen": [("--seed", "HEX", False)],
-    "mul": [("--scalar", "HEX", True), ("--point", XY, True)],
-    "add": [("--p1", XY, True), ("--p2", XY, True)],
-    "double": [("--point", XY, True)],
-    "negate": [("--point", XY, True)],
-    "check": [("--point", XY, False)],
-    "curve-info": [],
-}
-
-
 KEYGEN_HELP = """\
 usage: ecpf keygen (--curve NAME | --curve-file PATH) ...
   --curve {p192,smoke17}    bundled curve name
@@ -444,13 +410,11 @@ def test_command_help_and_required_options(capsys):
     assert capsys.readouterr().out == KEYGEN_HELP
 
 
-def test_module_entry_point():
-    # The child imports the same ecpf as this process, installed or not.
-    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+def test_module_entry_point(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "ecpf", "keygen", "--curve", "smoke17", "--seed", "09"],
         capture_output=True,
-        env=env,
+        env=child_env,
     )
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
@@ -474,12 +438,11 @@ runpy.run_module("ecpf", run_name="__main__", alter_sys=True)
 """
 
 
-def test_main_freezes_the_heap_and_runs_atexit(tmp_path):
+def test_main_freezes_the_heap_and_runs_atexit(tmp_path, child_env):
     out = tmp_path / "freeze_count"
-    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
     args = ["keygen", "--curve", "smoke17", "--seed", "09"]
     child = [sys.executable, "-c", _FREEZE_COUNT_AT_EXIT, str(out), *args]
-    result = subprocess.run(child, capture_output=True, env=env)
+    result = subprocess.run(child, capture_output=True, env=child_env)
     assert result.returncode == 0
     assert result.stdout == b"private=0a\npublic=07,0b\n"
     assert result.stderr == b""
@@ -493,9 +456,8 @@ def test_run_leaves_the_heap_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-def _run_module_into(stdout, unbuffered, args=("curve-info", "--curve", "p192")):
-    """``python -m ecpf ARGS`` with its stdout on ``stdout``."""
-    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+def _run_module_into(env, stdout, unbuffered, args=("curve-info", "--curve", "p192")):
+    """``python -m ecpf ARGS`` in ``env`` with its stdout on ``stdout``."""
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:  # print() itself fails, not the flush after it
         env["PYTHONUNBUFFERED"] = "1"
@@ -504,11 +466,11 @@ def _run_module_into(stdout, unbuffered, args=("curve-info", "--curve", "p192"))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_write_to_a_full_device_exits_1(unbuffered):
+def test_write_to_a_full_device_exits_1(child_env, unbuffered):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     with open("/dev/full", "wb") as full:
-        result = _run_module_into(full, unbuffered)
+        result = _run_module_into(child_env, full, unbuffered)
     assert result.returncode == 1
     error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
     assert result.stderr == error.encode()
@@ -516,23 +478,23 @@ def test_write_to_a_full_device_exits_1(unbuffered):
 
 @pytest.mark.parametrize("args", [["--help"], ["keygen", "--help"]], ids=" ".join)
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_help_to_a_full_device_exits_1(unbuffered, args):
+def test_help_to_a_full_device_exits_1(child_env, unbuffered, args):
     # Help is written by run's output loop, so its failed write reaches main
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     with open("/dev/full", "wb") as full:
-        result = _run_module_into(full, unbuffered, args)
+        result = _run_module_into(child_env, full, unbuffered, args)
     assert result.returncode == 1
     error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
     assert result.stderr == error.encode()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_write_to_a_closed_pipe_exits_1(unbuffered):
+def test_write_to_a_closed_pipe_exits_1(child_env, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = _run_module_into(write_end, unbuffered)
+        result = _run_module_into(child_env, write_end, unbuffered)
     finally:
         os.close(write_end)
     assert result.returncode == 1

@@ -16,20 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecpf.cli import run
-from helpers import oracle_cli_stdout
+from helpers import COMMAND_OPTIONS, SMOKE17_TEXT, XY, oracle_cli_stdout
 
-SMOKE17 = {
-    "name": "smoke17",
-    "p": "11",
-    "a": "02",
-    "b": "02",
-    "gx": "05",
-    "gy": "01",
-    "n": "13",
-    "h": "01",
-}
-
-SMOKE17_TEXT = "".join(f"{key}={value}\n" for key, value in SMOKE17.items())
+SMOKE17 = dict(line.split("=") for line in SMOKE17_TEXT.splitlines())
 
 CURVE_FILE = "<curve-file>"
 
@@ -50,14 +39,10 @@ points = mostly(
     junk,
 )
 
+STRATEGIES = {"HEX": values, XY: points}
 OPTIONS = {
-    "keygen": (("--seed", values),),
-    "mul": (("--scalar", values), ("--point", points)),
-    "add": (("--p1", points), ("--p2", points)),
-    "double": (("--point", points),),
-    "negate": (("--point", points),),
-    "check": (("--point", points),),
-    "curve-info": (),
+    command: tuple((flag, STRATEGIES[metavar]) for flag, metavar, _ in options)
+    for command, options in COMMAND_OPTIONS.items()
 }
 
 

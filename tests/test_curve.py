@@ -237,6 +237,22 @@ def test_curve_params_rejects_foreign_coefficients():
         )
 
 
+def test_curve_params_rejects_a_foreign_b():
+    # a is over the curve's field, so the check on b decides alone.
+    m = Modulus.from_int(17)
+    other = Modulus.from_int(19)
+    with pytest.raises(ContextError):
+        CurveParams(
+            name="bad",
+            modulus=m,
+            a=m.element(2),
+            b=other.element(2),
+            g=AffinePoint(m.element(5), m.element(1)),
+            n=MpInt(19, m.capacity),
+            h=MpInt(1, m.capacity),
+        )
+
+
 def test_format_point(smoke17, p192):
     assert format_point(INFINITY, smoke17) == "infinity"
     assert format_point(mk_point(smoke17, (5, 1)), smoke17) == "05,01"

@@ -1,31 +1,25 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import ecpf
 from ecpf.domain import _is_probable_prime, bundled_curve, parse_curve_file
 from ecpf.errors import Error, ValidationError
 from helpers import small_curve_files
 
 
-def test_library_import_leaves_cli_unloaded():
-    # The child imports the same ecpf as this process, installed or not.
-    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
+def test_library_import_leaves_cli_unloaded(child_env):
     code = "import sys, ecpf, ecpf.domain; print({'ecpf.cli', 'argparse'} & set(sys.modules))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"set()\n"
 
 
-def _loaded_by_cli_import(modules):
-    """Which of ``modules`` ``python -S -c "import ecpf.cli"`` loads, sorted.
+def _loaded_by_cli_import(env, modules):
+    """Which of ``modules`` ``python -S -c "import ecpf.cli"`` loads in ``env``, sorted.
 
     Without site, nothing but ecpf can import them into the child.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(ecpf.__file__).parents[1])}
     code = f"import sys, ecpf.cli; print(*sorted({set(modules)!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
@@ -53,8 +47,8 @@ CLI_IMPORT_UNLOADED = {
 
 
 @pytest.mark.parametrize("modules", CLI_IMPORT_UNLOADED.values(), ids=list(CLI_IMPORT_UNLOADED))
-def test_cli_import_leaves_unloaded(modules):
-    assert _loaded_by_cli_import(modules) == []
+def test_cli_import_leaves_unloaded(child_env, modules):
+    assert _loaded_by_cli_import(child_env, modules) == []
 
 
 def test_validator_accepts_exactly_the_valid_small_curves():
